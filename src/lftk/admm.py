@@ -1,14 +1,19 @@
 """ADMM training of the nonnegative factor model.
 
 The constrained fitting problem is split with one unconstrained auxiliary
-copy per factor/bias group, tied to its nonnegative primal twin through an
-augmented Lagrangian. Each epoch alternates three moves:
+copy of every parameter, tied to its nonnegative primal twin through an
+augmented Lagrangian. Each mode's parameters form one ``(dim, R+1)``
+block: factor columns ``0..R-1`` and the bias in column ``R``, which is a
+factor column whose coefficient in the prediction is always 1. The primal
+model, the auxiliaries and the multipliers each hold one block per mode,
+so one closed form updates every column. Each epoch alternates three
+moves:
 
-1. auxiliary coordinate updates: closed-form minimizers of the
+1. auxiliary column updates: closed-form minimizers of the
    half-quadratic subproblem in which every residual carries the weight
    ``1 / (gamma^2 + e^2)`` (or 1 in plain squared-error mode), refreshed
    from the residual standing immediately before the coordinate's update;
-2. projection of the primal factors onto the nonnegative orthant at the
+2. projection of the primal blocks onto the nonnegative orthant at the
    penalty minimizer ``max(0, aux + multiplier / constant)``;
 3. dual gradient ascent on the multipliers.
 
@@ -18,11 +23,11 @@ relative pull toward feasibility as heavily observed ones. Entities with
 no observed entries have zero constants and are skipped everywhere; they
 retain their initial values.
 
-Within one phase (one factor column, or one bias vector), rows of the same
-mode touch disjoint entry sets, so updating them in ascending index order
-is identical to updating them simultaneously; the sweeps below exploit
-this with vectorized per-phase updates. This single deterministic
-partition is recorded in the training report.
+Within one phase (one column of one mode), rows of the same mode touch
+disjoint entry sets, so updating them in ascending index order is
+identical to updating them simultaneously; the sweeps below exploit this
+with vectorized per-phase updates. This single deterministic partition is
+recorded in the training report.
 """
 
 import math
@@ -33,7 +38,7 @@ import numpy as np
 from ._util import fmt_real
 from .errors import DivergenceError
 from .evaluation import EvalReport, mae
-from .model import FactorModel, objective
+from .model import FactorModel, block_views, objective
 from .tensor import MODES
 
 LOSS_MODES = ("cauchy", "l2")
@@ -63,10 +68,10 @@ class TrainConfig:
     def validate(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not 0 < self.eta <= 2:
             raise ValueError(f"eta must be in (0, 2], got {self.eta}")
         if self.loss not in LOSS_MODES:
@@ -75,35 +80,35 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
+        if not 0 <= self.min_delta < math.inf:
+            raise ValueError(f"min_delta must be >= 0 and finite, got {self.min_delta}")
 
 
 @dataclass
 class AugmentationConstants:
     """Per-entity penalty weights, one vector per mode.
 
-    Factor and bias groups of the same mode share the same value
-    (tau == alpha, nu == beta, omega == delta elementwise); zero exactly
-    for entities with no observed entries.
+    A mode's factor and bias columns share one vector, so ``alpha``,
+    ``beta`` and ``delta`` are aliases of ``tau``, ``nu`` and ``omega``;
+    zero exactly for entities with no observed entries.
     """
 
     tau: np.ndarray
     nu: np.ndarray
     omega: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    delta: np.ndarray
+
+    alpha = property(lambda self: self.tau)
+    beta = property(lambda self: self.nu)
+    delta = property(lambda self: self.omega)
 
 
 def compute_augmentation_constants(tensor, lam):
     """Density-scaled penalty weights: lambda times the entity's entry count."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    tau, nu, omega = (
-        lam * tensor.slice_counts(mode).astype(np.float64) for mode in MODES
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    return AugmentationConstants(
+        *(lam * tensor.slice_counts(mode).astype(np.float64) for mode in MODES)
     )
-    return AugmentationConstants(tau, nu, omega, tau.copy(), nu.copy(), omega.copy())
 
 
 def cauchy_weight(residual, gamma=1.0, loss="cauchy"):
@@ -129,48 +134,49 @@ def cauchy_weight(residual, gamma=1.0, loss="cauchy"):
 class AdmmState:
     """Auxiliary variables, multipliers, and constants of one training run.
 
-    The auxiliary arrays mirror the model's shapes but are unconstrained in
-    sign; multipliers start at zero. The loss mode and scale are carried
-    here so the per-coordinate updates can evaluate their weights.
+    ``aux`` and ``mult`` hold one ``(dim, R+1)`` block per mode, laid out
+    like ``FactorModel.blocks``; ``aux_u``..``aux_c`` and ``phi``..``sigma``
+    are writable views into them in the model's U, S, T, a, b, c order.
+    Auxiliaries are unconstrained in sign; multipliers start at zero. The
+    loss mode and scale are carried here so the per-coordinate updates can
+    evaluate their weights.
     """
 
     def __init__(self, aux, mult, constants, gamma, loss):
-        self.aux_u, self.aux_s, self.aux_t, self.aux_a, self.aux_b, self.aux_c = aux
-        self.phi, self.rho, self.psi, self.chi, self.vphi, self.sigma = mult
+        self.aux, self.mult = tuple(aux), tuple(mult)
+        (self.aux_u, self.aux_s, self.aux_t,
+         self.aux_a, self.aux_b, self.aux_c) = block_views(self.aux)
+        (self.phi, self.rho, self.psi,
+         self.chi, self.vphi, self.sigma) = block_views(self.mult)
         self.constants = constants
         self.gamma = gamma
         self.loss = loss
 
     @classmethod
     def initialize(cls, model, tensor, config):
-        aux = tuple(arr.copy() for _, arr in model.arrays())
-        mult = tuple(np.zeros_like(arr) for _, arr in model.arrays())
+        aux = tuple(blk.copy() for blk in model.blocks)
+        mult = tuple(np.zeros_like(blk) for blk in model.blocks)
         constants = compute_augmentation_constants(tensor, config.lam)
         return cls(aux, mult, constants, config.gamma, config.loss)
 
+    @property
+    def rank(self):
+        return self.aux[0].shape[1] - 1
+
     def aux_prediction(self, tensor, positions=None):
         """Predictions from the auxiliary variables for all (or some) entries."""
-        if positions is None:
-            ii, jj, kk = tensor.i, tensor.j, tensor.k
-        else:
-            ii, jj, kk = tensor.i[positions], tensor.j[positions], tensor.k[positions]
+        ii, jj, kk = _coords(tensor, positions)
         cp = (self.aux_u[ii] * self.aux_s[jj] * self.aux_t[kk]).sum(axis=1)
         return cp + self.aux_a[ii] + self.aux_b[jj] + self.aux_c[kk]
 
     def groups(self, model):
-        """(name, aux, primal, multiplier, constants) for all six groups."""
+        """(mode, aux, primal, multiplier, constants) for each mode's block."""
         c = self.constants
-        return (
-            ("user factors", self.aux_u, model.U, self.phi, c.tau),
-            ("service factors", self.aux_s, model.S, self.rho, c.nu),
-            ("time factors", self.aux_t, model.T, self.psi, c.omega),
-            ("user biases", self.aux_a, model.a, self.chi, c.alpha),
-            ("service biases", self.aux_b, model.b, self.vphi, c.beta),
-            ("time biases", self.aux_c, model.c, self.sigma, c.delta),
-        )
+        consts = (c.tau, c.nu, c.omega)
+        return tuple(zip(MODES, self.aux, model.blocks, self.mult, consts))
 
     def max_primal_residual(self, model):
-        """Largest gap |aux - primal| over all six variable groups."""
+        """Largest gap |aux - primal| over every parameter."""
         gap = 0.0
         for _, aux, prim, _, _ in self.groups(model):
             if aux.size:
@@ -178,38 +184,40 @@ class AdmmState:
         return gap
 
 
-def _factor_refs(state, model, tensor, mode):
-    if mode == "user":
-        return tensor.i, state.aux_u, model.U, state.phi, state.constants.tau
-    if mode == "service":
-        return tensor.j, state.aux_s, model.S, state.rho, state.constants.nu
-    if mode == "time":
-        return tensor.k, state.aux_t, model.T, state.psi, state.constants.omega
-    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-
-def _bias_refs(state, model, tensor, mode):
-    if mode == "user":
-        return tensor.i, state.aux_a, model.a, state.chi, state.constants.alpha
-    if mode == "service":
-        return tensor.j, state.aux_b, model.b, state.vphi, state.constants.beta
-    if mode == "time":
-        return tensor.k, state.aux_c, model.c, state.sigma, state.constants.delta
-    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-
-def _factor_coef(state, tensor, mode, r, positions=None):
-    # Per-entry coefficient multiplying the mode's own auxiliary factor in
-    # the prediction: the product of the other two modes' column-r values.
+def _coords(tensor, positions=None):
     if positions is None:
-        ii, jj, kk = tensor.i, tensor.j, tensor.k
-    else:
-        ii, jj, kk = tensor.i[positions], tensor.j[positions], tensor.k[positions]
-    if mode == "user":
-        return state.aux_s[jj, r] * state.aux_t[kk, r]
-    if mode == "service":
-        return state.aux_u[ii, r] * state.aux_t[kk, r]
-    return state.aux_u[ii, r] * state.aux_s[jj, r]
+        return tensor.i, tensor.j, tensor.k
+    return tensor.i[positions], tensor.j[positions], tensor.k[positions]
+
+
+def _column_coef(state, coords, axis, col):
+    # Per-entry coefficient of the mode's own auxiliary value in column
+    # `col` of the prediction: the product of the other two modes' column
+    # values for a factor column, and 1 for the bias column. Gathering
+    # through 1-D column views is faster than 2-D indexing blk[idx, col].
+    if col == state.rank:
+        return 1.0
+    p, q = (m for m in range(3) if m != axis)
+    return state.aux[p][:, col][coords[p]] * state.aux[q][:, col][coords[q]]
+
+
+def _update_coordinate(state, model, tensor, mode, index, col):
+    pos = tensor.slice(mode, index)
+    axis = MODES.index(mode)
+    _, aux, prim, mult, const = state.groups(model)[axis]
+    if pos.size == 0:
+        return float(aux[index, col])
+    y = tensor.y[pos]
+    yhat = state.aux_prediction(tensor, pos)
+    coef = _column_coef(state, _coords(tensor, pos), axis, col)
+    delta = cauchy_weight(y - yhat, state.gamma, state.loss)
+    partial = yhat - aux[index, col] * coef
+    num = float((delta * coef * (y - partial)).sum()) + const[index] * prim[index, col]
+    num -= mult[index, col]
+    den = const[index] + float((delta * coef * coef).sum())
+    value = num / den
+    aux[index, col] = value
+    return float(value)
 
 
 def update_auxiliary_factor_row(state, model, tensor, mode, index, r):
@@ -220,47 +228,22 @@ def update_auxiliary_factor_row(state, model, tensor, mode, index, r):
     before the update. Empty slices are skipped (value unchanged). The
     returned value is unconstrained in sign; state is updated in place.
     """
-    _, aux, prim, mult, const = _factor_refs(state, model, tensor, mode)
-    pos = tensor.slice(mode, index)
-    if pos.size == 0:
-        return float(aux[index, r])
-    y = tensor.y[pos]
-    yhat = state.aux_prediction(tensor, pos)
-    coef = _factor_coef(state, tensor, mode, r, pos)
-    delta = cauchy_weight(y - yhat, state.gamma, state.loss)
-    partial = yhat - aux[index, r] * coef
-    num = float((delta * coef * (y - partial)).sum()) + const[index] * prim[index, r]
-    num -= mult[index, r]
-    den = const[index] + float((delta * coef * coef).sum())
-    value = num / den
-    aux[index, r] = value
-    return float(value)
+    if not 0 <= r < state.rank:
+        raise IndexError(f"factor column {r} out of range for rank {state.rank}")
+    return _update_coordinate(state, model, tensor, mode, index, r)
 
 
 def update_auxiliary_bias(state, model, tensor, mode, index):
     """Closed-form update of one auxiliary bias coordinate.
 
-    Same structure as the factor update with coefficient 1; the denominator
-    accumulates the sum of the frozen weights over the entity's slice.
+    Same update as the factor coordinate with coefficient 1; the
+    denominator accumulates the sum of the frozen weights over the slice.
     """
-    _, aux, prim, mult, const = _bias_refs(state, model, tensor, mode)
-    pos = tensor.slice(mode, index)
-    if pos.size == 0:
-        return float(aux[index])
-    y = tensor.y[pos]
-    yhat = state.aux_prediction(tensor, pos)
-    delta = cauchy_weight(y - yhat, state.gamma, state.loss)
-    partial = yhat - aux[index]
-    num = float((delta * (y - partial)).sum()) + const[index] * prim[index]
-    num -= mult[index]
-    den = const[index] + float(delta.sum())
-    value = num / den
-    aux[index] = value
-    return float(value)
+    return _update_coordinate(state, model, tensor, mode, index, state.rank)
 
 
 def project_nonnegative(state, model):
-    """Clamp each primal group at the penalty minimizer max(0, aux + mult/const).
+    """Clamp each primal block at the penalty minimizer max(0, aux + mult/const).
 
     Entities with zero constants are left untouched; afterwards every model
     element is >= 0. Returns the model (mutated in place).
@@ -268,26 +251,20 @@ def project_nonnegative(state, model):
     for _, aux, prim, mult, const in state.groups(model):
         active = const > 0
         shift = np.zeros_like(aux)
-        if aux.ndim == 2:
-            np.divide(mult, const[:, None], out=shift, where=active[:, None])
-            candidate = np.maximum(0.0, aux + shift)
-            prim[active, :] = candidate[active, :]
-        else:
-            np.divide(mult, const, out=shift, where=active)
-            candidate = np.maximum(0.0, aux + shift)
-            prim[active] = candidate[active]
+        np.divide(mult, const[:, None], out=shift, where=active[:, None])
+        candidate = np.maximum(0.0, aux + shift)
+        prim[active] = candidate[active]
     return model
 
 
 def update_multipliers(state, model, eta):
-    """Dual gradient ascent: mult += eta * const * (aux - primal), per group.
+    """Dual gradient ascent: mult += eta * const * (aux - primal), per block.
 
-    Feasible groups (aux equal to primal) leave their multipliers fixed;
-    zero-constant entities never move.
+    Feasible parameters (aux equal to primal) leave their multipliers
+    fixed; zero-constant entities never move.
     """
     for _, aux, prim, mult, const in state.groups(model):
-        c = const[:, None] if aux.ndim == 2 else const
-        mult += eta * c * (aux - prim)
+        mult += eta * const[:, None] * (aux - prim)
 
 
 def lagrangian_value(state, model, tensor, config):
@@ -304,49 +281,32 @@ def lagrangian_value(state, model, tensor, config):
         value = 0.5 * float((e * e).sum())
     for _, aux, prim, mult, const in state.groups(model):
         active = const > 0
-        if not active.any():
-            continue
-        c = const[active]
-        if aux.ndim == 2:
-            gap = aux[active] - prim[active] + mult[active] / c[:, None]
-            value += 0.5 * float((c[:, None] * gap * gap).sum())
-            value -= float((mult[active] ** 2 / (2.0 * c[:, None])).sum())
-        else:
-            gap = aux[active] - prim[active] + mult[active] / c
-            value += 0.5 * float((c * gap * gap).sum())
-            value -= float((mult[active] ** 2 / (2.0 * c)).sum())
+        c = const[active][:, None]
+        gap = aux[active] - prim[active] + mult[active] / c
+        value += 0.5 * float((c * gap * gap).sum())
+        value -= float((mult[active] ** 2 / (2.0 * c)).sum())
     return value
 
 
-def _sweep_factor(state, model, tensor, mode, r, yhat):
-    own, aux, prim, mult, const = _factor_refs(state, model, tensor, mode)
-    coef = _factor_coef(state, tensor, mode, r)
+def _sweep_column(state, model, tensor, axis, col, yhat):
+    # Closed-form update of one auxiliary column for every entity of the
+    # mode at once; entities of a mode touch disjoint entries, so this
+    # equals the ascending-index scalar sweep. Keeps yhat in step.
+    _, aux, prim, mult, const = state.groups(model)[axis]
+    coords = _coords(tensor)
+    own = coords[axis]
+    coef = _column_coef(state, coords, axis, col)
     delta = cauchy_weight(tensor.y - yhat, state.gamma, state.loss)
-    partial = yhat - aux[own, r] * coef
+    old = aux[:, col]
+    partial = yhat - old[own] * coef
     dim = aux.shape[0]
     num = np.bincount(own, weights=delta * coef * (tensor.y - partial), minlength=dim)
-    num += const * prim[:, r] - mult[:, r]
+    num += const * prim[:, col] - mult[:, col]
     den = const + np.bincount(own, weights=delta * coef * coef, minlength=dim)
-    active = tensor.slice_counts(mode) > 0
-    new = aux[:, r].copy()
-    np.divide(num, den, out=new, where=active)
-    yhat += (new[own] - aux[own, r]) * coef
-    aux[:, r] = new
-
-
-def _sweep_bias(state, model, tensor, mode, yhat):
-    own, aux, prim, mult, const = _bias_refs(state, model, tensor, mode)
-    delta = cauchy_weight(tensor.y - yhat, state.gamma, state.loss)
-    partial = yhat - aux[own]
-    dim = aux.shape[0]
-    num = np.bincount(own, weights=delta * (tensor.y - partial), minlength=dim)
-    num += const * prim - mult
-    den = const + np.bincount(own, weights=delta, minlength=dim)
-    active = tensor.slice_counts(mode) > 0
-    new = aux.copy()
-    np.divide(num, den, out=new, where=active)
-    yhat += new[own] - aux[own]
-    aux[:] = new
+    new = old.copy()
+    np.divide(num, den, out=new, where=tensor.slice_counts(MODES[axis]) > 0)
+    yhat += (new[own] - old[own]) * coef
+    old[:] = new
 
 
 def _check_group(name, arr):
@@ -361,35 +321,27 @@ def train_epoch(state, model, tensor, config):
 
     Order: all auxiliary user-factor columns, then service, then time
     (each column over all entities at once); then the three auxiliary bias
-    vectors; then the nonnegativity projection; then dual ascent. Returns
+    columns; then the nonnegativity projection; then dual ascent. Returns
     the training objective of the projected model and the largest
     aux-primal gap. Raises :class:`DivergenceError` naming the variable
     group that first produced a non-finite or runaway value.
     """
     yhat = state.aux_prediction(tensor)
-    aux_factor = (
-        ("user", "auxiliary user factors", state.aux_u),
-        ("service", "auxiliary service factors", state.aux_s),
-        ("time", "auxiliary time factors", state.aux_t),
-    )
-    for mode, group_name, arr in aux_factor:
-        for r in range(model.rank):
-            _sweep_factor(state, model, tensor, mode, r, yhat)
-        _check_group(group_name, arr)
-    aux_bias = (
-        ("user", "auxiliary user biases", state.aux_a),
-        ("service", "auxiliary service biases", state.aux_b),
-        ("time", "auxiliary time biases", state.aux_c),
-    )
-    for mode, group_name, arr in aux_bias:
-        _sweep_bias(state, model, tensor, mode, yhat)
-        _check_group(group_name, arr)
+    rank = model.rank
+    for axis, mode in enumerate(MODES):
+        for col in range(rank):
+            _sweep_column(state, model, tensor, axis, col, yhat)
+        _check_group(f"auxiliary {mode} factors", state.aux[axis][:, :rank])
+    for axis, mode in enumerate(MODES):
+        _sweep_column(state, model, tensor, axis, rank, yhat)
+        _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
     project_nonnegative(state, model)
     for name, arr in model.arrays():
         _check_group(f"projected {name}", arr)
     update_multipliers(state, model, config.eta)
-    for group_name, _, _, mult, _ in state.groups(model):
-        _check_group(f"multipliers for {group_name}", mult)
+    for part, cols in (("factors", slice(0, rank)), ("biases", rank)):
+        for mode, mult in zip(MODES, state.mult):
+            _check_group(f"multipliers for {mode} {part}", mult[:, cols])
     obj = objective(model, tensor, loss=config.loss, gamma=config.gamma)
     return obj, state.max_primal_residual(model)
 

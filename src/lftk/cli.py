@@ -29,7 +29,7 @@ from .dataio import (
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
 from .model import load_model, save_model
-from .tensor import MODES
+from .tensor import MODES, SparseTensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,8 +69,13 @@ def _write_manifest(path, command, params, input_paths, seed):
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    _write_json(path, manifest)
+
+
+def _write_json(path, obj):
+    # allow_nan=False: Infinity and NaN are not JSON, so refuse to write them
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -174,14 +179,14 @@ def cmd_train(args):
     fmt = _record_format(args)
     dims = parse_dims(args.dims) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
+    tensor_val = load_records(args.val, fmt, dims)
     if dims is None:
         # validation entries may reach indices the training file never hits
-        val_probe = load_records(args.val, fmt)
-        dims = tuple(
-            max(d1, d2) for d1, d2 in zip(tensor_train.dims, val_probe.dims)
+        dims = tuple(max(d1, d2) for d1, d2 in zip(tensor_train.dims, tensor_val.dims))
+        tensor_train, tensor_val = (
+            SparseTensor.from_arrays(dims, t.i, t.j, t.k, t.y)
+            for t in (tensor_train, tensor_val)
         )
-        tensor_train = load_records(args.train, fmt, dims)
-    tensor_val = load_records(args.val, fmt, dims)
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"
@@ -189,9 +194,7 @@ def cmd_train(args):
         model, report = train(tensor_train, tensor_val, config, log=log_fh)
 
     save_model(model, args.model_out)
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report.summary())
     _write_manifest(
         str(args.model_out) + ".manifest.json",
         "train",

@@ -7,6 +7,7 @@ index base (0 or 1) are configurable so externally published QoS logs can
 be ingested as-is.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -44,6 +45,17 @@ class RecordFormat:
 
 def _is_path(obj):
     return isinstance(obj, (str, bytes, os.PathLike)) and not hasattr(obj, "read")
+
+
+@contextlib.contextmanager
+def _open_sink(sink):
+    # A path is opened for writing and closed afterwards; a stream is
+    # written as given and left open for its owner.
+    if not _is_path(sink):
+        yield sink
+        return
+    with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def _text_lines(source):
@@ -109,16 +121,11 @@ def load_records(source, fmt=RecordFormat(), dims=None):
 def write_records(entries, sink, fmt=RecordFormat()):
     """Inverse of :func:`load_records`: one record line per entry."""
     ii, jj, kk, yy = entry_arrays(entries)
-    own = isinstance(sink, (str, bytes, os.PathLike)) and not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        base = fmt.index_base
+    base = fmt.index_base
+    with _open_sink(sink) as fh:
         for i, j, k, y in zip(ii, jj, kk, yy):
             fields = (str(i + base), str(j + base), str(k + base), fmt_real(y))
             fh.write(fmt.join_fields(fields) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -200,16 +207,11 @@ def write_predictions(model, entries, sink):
     """Write ``i j k y_true y_pred abs_err`` lines for the given entries."""
     ii, jj, kk, yy = entry_arrays(entries)
     pred = model.predict_entries(ii, jj, kk) if yy.size else np.empty(0)
-    own = isinstance(sink, (str, bytes, os.PathLike)) and not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with _open_sink(sink) as fh:
         for i, j, k, y, p in zip(ii, jj, kk, yy, pred):
             fh.write(
                 f"{i} {j} {k} {fmt_real(y)} {fmt_real(p)} {fmt_real(abs(y - p))}\n"
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def write_outlier_mask(tensor, mask, sink):
@@ -217,15 +219,10 @@ def write_outlier_mask(tensor, mask, sink):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (tensor.n_entries,):
         raise ValueError("mask length does not match the tensor's entry count")
-    own = isinstance(sink, (str, bytes, os.PathLike)) and not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with _open_sink(sink) as fh:
         fh.write("# flagged entries: i j k (0-based)\n")
         for p in np.nonzero(mask)[0]:
             fh.write(f"{tensor.i[p]} {tensor.j[p]} {tensor.k[p]}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_outlier_mask(source):
@@ -259,10 +256,5 @@ def write_split_metadata(sink, spec, n_entries):
         "seed": spec.seed,
         "counts": {"train": n_train, "validation": n_val, "test": n_test},
     }
-    text = json.dumps(obj) + "\n"
-    own = isinstance(sink, (str, bytes, os.PathLike)) and not hasattr(sink, "write")
-    if own:
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    with _open_sink(sink) as fh:
+        fh.write(json.dumps(obj, allow_nan=False) + "\n")

@@ -35,7 +35,9 @@ class EvalReport:
     primal residual). ``skipped_entities`` counts, per mode, the entities
     with no training entries; these keep their initial factors and are
     the cold entities of any later test set. ``partition`` names the
-    update-order scheme so runs are reproducible byte for byte.
+    update-order scheme so runs are reproducible byte for byte. When no
+    epoch completed, ``best_val_mae`` is infinite and :meth:`summary`
+    reports it as ``None`` (JSON ``null``).
     """
 
     epochs: list
@@ -50,7 +52,7 @@ class EvalReport:
         return {
             "epochs_run": len(self.epochs),
             "best_epoch": self.best_epoch,
-            "best_val_mae": self.best_val_mae,
+            "best_val_mae": self.best_val_mae if math.isfinite(self.best_val_mae) else None,
             "test_mae": self.test_mae,
             "skipped_entities": self.skipped_entities,
             "diverged": self.diverged,

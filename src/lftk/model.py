@@ -21,30 +21,38 @@ MODEL_HEADER = "lft-model v1"
 _CHUNK = 1 << 18
 
 
+def block_views(blocks):
+    """The three factor views, then the three bias views, of (dim, R+1) blocks."""
+    return tuple(b[:, :-1] for b in blocks) + tuple(b[:, -1] for b in blocks)
+
+
+def _check_shapes(factors, biases):
+    for name, m in zip("UST", factors):
+        if m.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    if len({m.shape[1] for m in factors}) != 1:
+        raise ValueError("factor matrices must share the same rank")
+    if factors[0].shape[1] < 1:
+        raise ValueError("rank must be at least 1")
+    for name, v, m in zip("abc", biases, factors):
+        if v.shape != (m.shape[0],):
+            raise ValueError(f"bias {name} must have length {m.shape[0]}")
+
+
 class FactorModel:
-    """Nonnegative latent factor matrices U, S, T and bias vectors a, b, c."""
+    """Nonnegative latent factor matrices U, S, T and bias vectors a, b, c.
+
+    Each mode's parameters live in one row-major ``(dim, R+1)`` block in
+    ``blocks``: factor columns ``0..R-1`` and the bias in column ``R``.
+    ``U``/``a``, ``S``/``b`` and ``T``/``c`` are writable views into them.
+    """
 
     def __init__(self, U, S, T, a, b, c):
-        self.U = np.array(U, dtype=np.float64, copy=True)
-        self.S = np.array(S, dtype=np.float64, copy=True)
-        self.T = np.array(T, dtype=np.float64, copy=True)
-        self.a = np.array(a, dtype=np.float64, copy=True)
-        self.b = np.array(b, dtype=np.float64, copy=True)
-        self.c = np.array(c, dtype=np.float64, copy=True)
-        self._validate()
-
-    def _validate(self):
-        for name, m in (("U", self.U), ("S", self.S), ("T", self.T)):
-            if m.ndim != 2:
-                raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-        if not (self.U.shape[1] == self.S.shape[1] == self.T.shape[1]):
-            raise ValueError("factor matrices must share the same rank")
-        if self.U.shape[1] < 1:
-            raise ValueError("rank must be at least 1")
-        pairs = (("a", self.a, self.U), ("b", self.b, self.S), ("c", self.c, self.T))
-        for name, v, m in pairs:
-            if v.shape != (m.shape[0],):
-                raise ValueError(f"bias {name} must have length {m.shape[0]}")
+        factors = [np.asarray(m, dtype=np.float64) for m in (U, S, T)]
+        biases = [np.asarray(v, dtype=np.float64) for v in (a, b, c)]
+        _check_shapes(factors, biases)
+        self.blocks = tuple(np.column_stack(fv) for fv in zip(factors, biases))
+        self.U, self.S, self.T, self.a, self.b, self.c = block_views(self.blocks)
         for name, arr in self.arrays():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")

@@ -1,10 +1,11 @@
-"""Sparse third-order tensor storage with per-mode entry slices.
+"""Sparse third-order tensor storage with per-mode entry counts.
 
 The observed entries of a user x service x time tensor are kept in
-coordinate form, together with one precomputed slice table per mode: for
-every user (service, time) index, the positions of the entries observed
-for that entity. All training update rules iterate these slices, so they
-are built once at construction and never scanned again.
+coordinate form, together with one entry-count vector per mode: for every
+user (service, time) index, how many entries are observed for that
+entity. The vectorized training sweeps need only these counts; the
+positions of one entity's entries (its slice) are found on demand by a
+scan, which only the scalar reference updates use.
 """
 
 from typing import NamedTuple
@@ -44,12 +45,7 @@ class SparseTensor:
             raise TypeError("use build_tensor() or SparseTensor.from_arrays()")
         self._dims = dims
         self._i, self._j, self._k, self._y = i, j, k, y
-        self._slices = []
-        self._counts = []
-        for axis, idx in enumerate((i, j, k)):
-            slices, counts = _build_slices(idx, dims[axis])
-            self._slices.append(slices)
-            self._counts.append(counts)
+        self._counts = [np.bincount(idx, minlength=d) for idx, d in zip((i, j, k), dims)]
         for arr in (i, j, k, y, *self._counts):
             arr.flags.writeable = False
 
@@ -123,14 +119,21 @@ class SparseTensor:
         return self._counts[_mode_axis(mode)]
 
     def slice(self, mode, index):
-        """Positions of the entries whose coordinate in `mode` equals `index`."""
+        """Positions of the entries whose coordinate in `mode` equals `index`.
+
+        Ascending and read-only; found by one scan over the mode's
+        coordinates, so concatenating every slice of a mode gives a
+        permutation of the entry positions.
+        """
         axis = _mode_axis(mode)
         index = int(index)
         if not 0 <= index < self._dims[axis]:
             raise IndexError(
                 f"{mode} index {index} out of range for dimension {self._dims[axis]}"
             )
-        return self._slices[axis][index]
+        pos = np.flatnonzero(self.mode_indices(mode) == index)
+        pos.flags.writeable = False
+        return pos
 
     def entry(self, pos):
         return Entry(
@@ -158,20 +161,6 @@ class SparseTensor:
 
     def __repr__(self):
         return f"SparseTensor(dims={self._dims}, n_entries={self.n_entries})"
-
-
-def _build_slices(idx, dim):
-    # Stable sort keeps positions ascending inside each slice, so
-    # concatenating all slices of a mode is a permutation of 0..n-1.
-    order = np.argsort(idx, kind="stable")
-    counts = np.bincount(idx, minlength=dim)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    slices = []
-    for x in range(dim):
-        block = order[bounds[x] : bounds[x + 1]]
-        block.flags.writeable = False
-        slices.append(block)
-    return slices, counts
 
 
 def _check_duplicates(dims, i, j, k):

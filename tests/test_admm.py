@@ -414,6 +414,48 @@ def test_epoch_divergence_names_group():
         train_epoch(state, model, t, config)
 
 
+def _poison(target, index):
+    # NaN into one element of a named state or model view before the epoch
+    def apply(state, model):
+        owner = model if target in "USTabc" else state
+        getattr(owner, target)[index] = np.nan
+    return apply
+
+
+# Entity 0 of each mode is observed, entity 1 is not. A NaN multiplier of an
+# observed entity spoils its auxiliary update; the projection and the dual
+# step skip unobserved entities, so a NaN there survives to their checks.
+DIVERGENCE_POINTS = [
+    (_poison("phi", (0, 0)), "auxiliary user factors"),
+    (_poison("rho", (0, 0)), "auxiliary service factors"),
+    (_poison("psi", (0, 0)), "auxiliary time factors"),
+    (_poison("chi", 0), "auxiliary user biases"),
+    (_poison("vphi", 0), "auxiliary service biases"),
+    (_poison("sigma", 0), "auxiliary time biases"),
+    *((_poison(name, (1, 0) if name in "UST" else 1), f"projected {name}")
+      for name in "USTabc"),
+    (_poison("phi", (1, 0)), "multipliers for user factors"),
+    (_poison("rho", (1, 0)), "multipliers for service factors"),
+    (_poison("psi", (1, 0)), "multipliers for time factors"),
+    (_poison("chi", 1), "multipliers for user biases"),
+    (_poison("vphi", 1), "multipliers for service biases"),
+    (_poison("sigma", 1), "multipliers for time biases"),
+]
+
+
+@pytest.mark.parametrize("poison,group", DIVERGENCE_POINTS,
+                         ids=[g for _, g in DIVERGENCE_POINTS])
+def test_epoch_divergence_group_names_are_exact(poison, group):
+    t = build_tensor((2, 2, 2), [(0, 0, 0, 1.0)])
+    model = FactorModel.initialize(t.dims, 2, seed=3)
+    state, config = make_state(model, t)
+    poison(state, model)
+    with pytest.raises(DivergenceError) as info:
+        train_epoch(state, model, t, config)
+    assert info.value.group == group
+    assert info.value.reason == "non-finite value"
+
+
 # -------------------------------------------- oracle equivalence (property)
 
 
@@ -567,3 +609,21 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="loss"):
         TrainConfig(loss="huber")
     TrainConfig(eta=2.0)  # boundary is allowed
+
+
+@pytest.mark.parametrize("field", ["gamma", "lam", "min_delta"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{field: value})
+    config = TrainConfig()
+    setattr(config, field, value)
+    with pytest.raises(ValueError, match="finite"):
+        config.validate()
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_augmentation_constants_reject_non_finite_lambda(lam):
+    t = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
+    with pytest.raises(ValueError, match="lambda"):
+        compute_augmentation_constants(t, lam)

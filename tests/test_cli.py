@@ -142,6 +142,49 @@ def test_train_eta_flag_validation(tmp_path, capsys):
     assert "eta" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--gamma", "inf"), ("--gamma", "nan"), ("--lambda", "inf"),
+    ("--lambda", "nan"), ("--min-delta", "inf"), ("--min-delta", "nan"),
+])
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flag, value):
+    out, splitdir = make_dataset(tmp_path, capsys)
+    code, _, err = run(
+        ["train", "--train", str(splitdir / "train.txt"),
+         "--val", str(splitdir / "validation.txt"), flag, value,
+         "--max-epochs", "2", "--model-out", str(tmp_path / "m.model")],
+        capsys,
+    )
+    assert code == 1
+    assert flag.strip("-").replace("-", "_") in err
+    assert not (tmp_path / "m.model").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_train_report_is_strict_json_when_no_epoch_completes(tmp_path, capsys):
+    data = tmp_path / "big.txt"
+    data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")  # runaway at epoch 1
+    val = tmp_path / "val.txt"
+    val.write_text("0 1 0 1\n")
+    model = tmp_path / "m.model"
+    code, _, _ = run(
+        ["train", "--train", str(data), "--val", str(val), "--loss", "l2",
+         "--rank", "1", "--dims", "2x2x1", "--model-out", str(model)],
+        capsys,
+    )
+    assert code == 3
+    for path in (f"{model}.report.json", f"{model}.manifest.json"):
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh, parse_constant=_reject_constant)
+    with open(f"{model}.report.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["epochs_run"] == 0
+    assert summary["best_val_mae"] is None
+    assert summary["diverged"] is True
+
+
 def test_train_determinism_byte_for_byte(tmp_path, capsys):
     out, splitdir = make_dataset(tmp_path, capsys)
     paths = []

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,12 @@ def test_split_partitions_entries(n_i, n_j, n_k, density, m, n, seed):
     assert sorted(combined) == sorted(obs.entries())  # disjoint union == input
     sizes = split_sizes(obs.n_entries, spec)
     assert tuple(p.n_entries for p in parts) == sizes
+
+
+def test_report_without_epochs_summarizes_best_mae_as_null():
+    rep = EvalReport(epochs=[], best_epoch=0, best_val_mae=math.inf, diverged=True)
+    assert rep.summary()["best_val_mae"] is None
+    assert '"best_val_mae": null' in json.dumps(rep.summary(), allow_nan=False)
 
 
 def test_report_invariants():
