@@ -1,6 +1,8 @@
-"""Small shared helpers: number formatting, file digests, dimension parsing."""
+"""Small shared helpers: number formatting, output files, digests, dims."""
 
+import contextlib
 import hashlib
+import os
 
 import numpy as np
 
@@ -12,6 +14,21 @@ def fmt_real(x):
     stay compact; parsers accept both plain decimal and scientific forms.
     """
     return np.format_float_positional(float(x), unique=True, trim="-")
+
+
+def _is_path(obj):
+    return isinstance(obj, (str, bytes, os.PathLike)) and not hasattr(obj, "read")
+
+
+@contextlib.contextmanager
+def _open_sink(sink):
+    # The one place output files are opened: a path is opened and closed
+    # here; a stream is written as given and left open for its owner.
+    if not _is_path(sink):
+        yield sink
+        return
+    with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def sha256_file(path):

@@ -38,10 +38,9 @@ import numpy as np
 from ._util import fmt_real
 from .errors import DivergenceError
 from .evaluation import EvalReport, mae
-from .model import FactorModel, block_views, objective
+from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
+from .model import FactorModel, block_views, check_loss, loss_sum, objective
 from .tensor import MODES
-
-LOSS_MODES = ("cauchy", "l2")
 
 # Magnitude at which training is declared divergent; the coupled
 # nonconvex updates carry no global convergence guarantee.
@@ -68,14 +67,11 @@ class TrainConfig:
     def validate(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        check_loss(self.loss, self.gamma)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not 0 < self.eta <= 2:
             raise ValueError(f"eta must be in (0, 2], got {self.eta}")
-        if self.loss not in LOSS_MODES:
-            raise ValueError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
@@ -106,9 +102,11 @@ def compute_augmentation_constants(tensor, lam):
     """Density-scaled penalty weights: lambda times the entity's entry count."""
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
-    return AugmentationConstants(
-        *(lam * tensor.slice_counts(mode).astype(np.float64) for mode in MODES)
-    )
+    counts = [tensor.slice_counts(mode).astype(np.float64) for mode in MODES]
+    top = max(float(c.max()) for c in counts)
+    if not math.isfinite(lam * top):
+        raise ValueError(f"lambda {lam} times entry count {top:g} overflows")
+    return AugmentationConstants(*(lam * c for c in counts))
 
 
 def cauchy_weight(residual, gamma=1.0, loss="cauchy"):
@@ -119,15 +117,9 @@ def cauchy_weight(residual, gamma=1.0, loss="cauchy"):
     ``l2``: constant 1, recovering the plain squared-error updates.
     Accepts scalars or arrays.
     """
-    if loss not in LOSS_MODES:
-        raise ValueError(f"loss must be one of {LOSS_MODES}, got {loss!r}")
+    check_loss(loss, gamma)
     e = np.asarray(residual, dtype=np.float64)
-    if loss == "l2":
-        w = np.ones_like(e)
-    else:
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        w = 1.0 / (gamma * gamma + e * e)
+    w = np.ones_like(e) if loss == "l2" else 1.0 / (gamma * gamma + e * e)
     return w if e.ndim else float(w)
 
 
@@ -165,6 +157,8 @@ class AdmmState:
 
     def aux_prediction(self, tensor, positions=None):
         """Predictions from the auxiliary variables for all (or some) entries."""
+        # ((cp + a) + b) + c, where predict_entries sums cp + ((a + b) + c);
+        # sharing one order would change the training trajectory's last bits.
         ii, jj, kk = _coords(tensor, positions)
         cp = (self.aux_u[ii] * self.aux_s[jj] * self.aux_t[kk]).sum(axis=1)
         return cp + self.aux_a[ii] + self.aux_b[jj] + self.aux_c[kk]
@@ -275,10 +269,7 @@ def lagrangian_value(state, model, tensor, config):
     term sum mult^2 / (2 const). Zero-constant entities contribute nothing.
     """
     e = tensor.y - state.aux_prediction(tensor)
-    if config.loss == "cauchy":
-        value = 0.5 * float(np.log1p((e / config.gamma) ** 2).sum())
-    else:
-        value = 0.5 * float((e * e).sum())
+    value = 0.5 * loss_sum(e, config.loss, config.gamma)
     for _, aux, prim, mult, const in state.groups(model):
         active = const > 0
         c = const[active][:, None]

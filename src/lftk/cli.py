@@ -12,8 +12,10 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from ._util import fmt_real, parse_dims, sha256_file
+from ._util import _open_sink, fmt_real, parse_dims, sha256_file
 from .admm import TrainConfig, train
 from .dataio import (
     RecordFormat,
@@ -28,7 +30,7 @@ from .dataio import (
 )
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
-from .model import load_model, save_model
+from .model import LOSS_MODES, load_model, save_model
 from .tensor import MODES, SparseTensor
 
 EXIT_OK = 0
@@ -74,7 +76,7 @@ def _write_manifest(path, command, params, input_paths, seed):
 
 def _write_json(path, obj):
     # allow_nan=False: Infinity and NaN are not JSON, so refuse to write them
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_sink(path) as fh:
         json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -190,7 +192,7 @@ def cmd_train(args):
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"
-    with open(log_path, "w", encoding="utf-8", newline="\n") as log_fh:
+    with _open_sink(log_path) as log_fh:
         model, report = train(tensor_train, tensor_val, config, log=log_fh)
 
     save_model(model, args.model_out)
@@ -291,7 +293,7 @@ def build_parser():
     p.add_argument("--train", required=True, help="training record file")
     p.add_argument("--val", required=True, help="validation record file")
     p.add_argument("--dims", help="tensor dims as IxJxK (default: inferred)")
-    p.add_argument("--loss", choices=("cauchy", "l2"), default="cauchy")
+    p.add_argument("--loss", choices=LOSS_MODES, default="cauchy")
     p.add_argument("--rank", type=int, default=5)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
@@ -327,7 +329,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow is reported by the divergence check (exit 3), not by numpy
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"lftk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,16 +7,14 @@ index base (0 or 1) are configurable so externally published QoS logs can
 be ingested as-is.
 """
 
-import contextlib
 import io
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt_real
+from ._util import _is_path, _open_sink, fmt_real
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
@@ -37,25 +35,12 @@ class RecordFormat:
             raise ValueError(f"index_base must be 0 or 1, got {self.index_base}")
 
     def split_line(self, line):
-        return line.split(",") if self.delimiter == "comma" else line.split()
+        if self.delimiter == "comma":
+            return [f.strip() for f in line.split(",")]
+        return line.split()
 
     def join_fields(self, fields):
         return (",".join(fields)) if self.delimiter == "comma" else " ".join(fields)
-
-
-def _is_path(obj):
-    return isinstance(obj, (str, bytes, os.PathLike)) and not hasattr(obj, "read")
-
-
-@contextlib.contextmanager
-def _open_sink(sink):
-    # A path is opened for writing and closed afterwards; a stream is
-    # written as given and left open for its owner.
-    if not _is_path(sink):
-        yield sink
-        return
-    with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
 
 
 def _text_lines(source):
@@ -70,6 +55,21 @@ def _text_lines(source):
     yield from io.TextIOWrapper(source, encoding="utf-8")
 
 
+def _record_lines(source, split_line, n_fields):
+    # (line number, fields) of every record line; blank and "#" lines are
+    # skipped, and a line with the wrong field count is rejected.
+    for lineno, raw in enumerate(_text_lines(source), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = split_line(line)
+        if len(fields) != n_fields:
+            raise DataFormatError(
+                f"line {lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
 def load_records(source, fmt=RecordFormat(), dims=None):
     """Parse a record stream into a :class:`SparseTensor`.
 
@@ -82,15 +82,7 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     """
     base = fmt.index_base
     ii, jj, kk, yy = [], [], [], []
-    for lineno, raw in enumerate(_text_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in fmt.split_line(line)]
-        if len(fields) != 4:
-            raise DataFormatError(
-                f"line {lineno}: expected 4 fields, got {len(fields)}"
-            )
+    for lineno, fields in _record_lines(source, fmt.split_line, 4):
         try:
             i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
             y = float(fields[3])
@@ -228,13 +220,7 @@ def write_outlier_mask(tensor, mask, sink):
 def load_outlier_mask(source):
     """Read flagged coordinates back as a set of (i, j, k) triples."""
     triples = set()
-    for lineno, raw in enumerate(_text_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise DataFormatError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+    for lineno, fields in _record_lines(source, str.split, 3):
         try:
             triples.add(tuple(int(f) for f in fields))
         except ValueError:

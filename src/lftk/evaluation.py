@@ -18,7 +18,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        total = self.m_ratio + self.n_ratio + self.o_ratio
+        ratios = (self.m_ratio, self.n_ratio, self.o_ratio)
+        if not all(math.isfinite(r) for r in ratios):
+            raise ValueError(f"split ratios must be finite, got {ratios}")
+        total = sum(ratios)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {total}")
         if not self.m_ratio > 0:

@@ -12,13 +12,15 @@ versioned ``lft-model v1`` text format.
 
 import numpy as np
 
-from ._util import fmt_real
+from ._util import _open_sink, fmt_real
 from .errors import DataFormatError
 from .tensor import entry_arrays
 
 MODEL_HEADER = "lft-model v1"
 
 _CHUNK = 1 << 18
+
+LOSS_MODES = ("cauchy", "l2")
 
 
 def block_views(blocks):
@@ -100,19 +102,9 @@ class FactorModel:
     def copy(self):
         return FactorModel(self.U, self.S, self.T, self.a, self.b, self.c)
 
-    def _check_index(self, mode, index, dim):
-        if not 0 <= index < dim:
-            raise IndexError(f"{mode} index {index} out of range for dimension {dim}")
-
     def predict(self, i, j, k):
-        """Point prediction for cell (i, j, k); nonnegative by construction."""
-        i, j, k = int(i), int(j), int(k)
-        ni, nj, nk = self.dims
-        self._check_index("user", i, ni)
-        self._check_index("service", j, nj)
-        self._check_index("time", k, nk)
-        cp = float(np.dot(self.U[i] * self.S[j], self.T[k]))
-        return cp + float(self.a[i] + self.b[j] + self.c[k])
+        """Point prediction for cell (i, j, k); equals :meth:`predict_entries`."""
+        return float(self.predict_entries([int(i)], [int(j)], [int(k)])[0])
 
     def predict_entries(self, ii, jj, kk):
         """Vectorized prediction over coordinate arrays (chunked for memory)."""
@@ -140,22 +132,32 @@ class FactorModel:
         return f"FactorModel(dims={self.dims}, rank={self.rank})"
 
 
-def objective(model, tensor, loss="cauchy", gamma=1.0):
-    """Total loss of the model over the observed entries.
+def check_loss(loss, gamma):
+    """Reject an unknown loss mode, or a gamma that is not finite or is too small."""
+    # below ~1.5e-154, gamma^2 underflows and 1/(gamma^2 + e^2) divides by 0
+    if loss not in LOSS_MODES:
+        raise ValueError(f"loss must be one of {LOSS_MODES}, got {loss!r}")
+    if not (0 < gamma < np.inf and gamma * gamma >= np.finfo(np.float64).tiny):
+        raise ValueError(f"gamma must be finite and at least ~1.5e-154, got {gamma}")
 
-    ``cauchy``: sum of ln(1 + e^2 / gamma^2) over residuals e; grows only
-    logarithmically in a residual, which is what bounds the influence of
-    outlying entries. ``l2``: plain sum of squared residuals.
+
+def loss_sum(e, loss, gamma):
+    """Data term summed over residuals e.
+
+    ``cauchy``: sum of ln(1 + e^2 / gamma^2); grows only logarithmically
+    in a residual, which is what bounds the influence of outlying
+    entries. ``l2``: plain sum of squared residuals.
     """
-    if loss not in ("cauchy", "l2"):
-        raise ValueError(f"unknown loss mode {loss!r}")
-    if loss == "cauchy" and not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    ii, jj, kk, yy = entry_arrays(tensor)
-    e = yy - model.predict_entries(ii, jj, kk)
+    check_loss(loss, gamma)
     if loss == "cauchy":
         return float(np.log1p((e / gamma) ** 2).sum())
     return float((e * e).sum())
+
+
+def objective(model, tensor, loss="cauchy", gamma=1.0):
+    """Total loss (:func:`loss_sum`) of the model over the observed entries."""
+    ii, jj, kk, yy = entry_arrays(tensor)
+    return loss_sum(yy - model.predict_entries(ii, jj, kk), loss, gamma)
 
 
 def save_model(model, path):
@@ -167,7 +169,7 @@ def save_model(model, path):
     shortest decimal form that round-trips exactly.
     """
     ni, nj, nk = model.dims
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_sink(path) as fh:
         fh.write(f"{MODEL_HEADER} {model.rank} {ni} {nj} {nk}\n")
         for name, arr in model.arrays():
             fh.write(name + "\n")

@@ -177,12 +177,7 @@ def _check_duplicates(dims, i, j, k):
 
 def build_tensor(dims, entries):
     """Build a :class:`SparseTensor` from (i, j, k, y) tuples or Entry records."""
-    rows = list(entries)
-    i = np.array([r[0] for r in rows], dtype=np.int64)
-    j = np.array([r[1] for r in rows], dtype=np.int64)
-    k = np.array([r[2] for r in rows], dtype=np.int64)
-    y = np.array([r[3] for r in rows], dtype=np.float64)
-    return SparseTensor.from_arrays(dims, i, j, k, y)
+    return SparseTensor.from_arrays(dims, *entry_arrays(entries))
 
 
 def entry_arrays(entries):

@@ -15,6 +15,7 @@ from lftk import (
     compute_augmentation_constants,
     lagrangian_value,
     mae,
+    objective,
     project_nonnegative,
     split,
     synthesize,
@@ -65,6 +66,13 @@ def test_augmentation_constants_uniform_slices():
         compute_augmentation_constants(t, 0.0)
 
 
+def test_augmentation_constants_reject_overflowing_lambda():
+    t = build_tensor((1, 2, 1), [(0, 0, 0, 1.0), (0, 1, 0, 1.0)])  # user 0: 2 entries
+    with pytest.raises(ValueError, match="lambda"):
+        compute_augmentation_constants(t, 1e308)
+    assert compute_augmentation_constants(t, 8e307).tau.tolist() == [1.6e308]
+
+
 # ------------------------------------------------------------------ weights
 
 
@@ -76,6 +84,17 @@ def test_cauchy_weight_values():
     assert w.tolist() == pytest.approx([1.0, 0.2])
     with pytest.raises(ValueError, match="gamma"):
         cauchy_weight(1.0, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-155, 1e-300, 5e-324])
+def test_gamma_whose_square_underflows_is_rejected_everywhere(gamma):
+    m = FactorModel.initialize((1, 1, 1), 1, seed=0)
+    t = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
+    for call in (lambda g: TrainConfig(gamma=g), lambda g: cauchy_weight(1.0, g),
+                 lambda g: objective(m, t, "cauchy", g)):
+        with pytest.raises(ValueError, match="gamma"):
+            call(gamma)
+        call(1.5e-154)  # gamma**2 is still a normal float
 
 
 def test_cauchy_weight_bounds():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -308,6 +309,43 @@ def test_train_divergence_exit_code_3(tmp_path, capsys):
     )
     assert code == 3
     assert (tmp_path / "d.model").exists()  # best snapshot still written
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--lambda", "1e308", "lambda"), ("--gamma", "1e-300", "gamma"),
+])
+def test_train_rejects_hyperparameters_that_overflow(tmp_path, capsys, flag, value, name):
+    out, splitdir = make_dataset(tmp_path, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(
+            ["train", "--train", str(splitdir / "train.txt"),
+             "--val", str(splitdir / "validation.txt"), flag, value,
+             "--max-epochs", "2", "--model-out", str(tmp_path / "m.model")],
+            capsys,
+        )
+    assert code == 1
+    assert name in err
+    assert not (tmp_path / "m.model").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_train_overflow_prints_no_runtime_warning(tmp_path, capsys):
+    # the Cauchy weights discount both spikes, but e**2 overflows on the way
+    data = tmp_path / "big.txt"
+    data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
+    val = tmp_path / "val.txt"
+    val.write_text("0 1 0 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(
+            ["train", "--train", str(data), "--val", str(val), "--rank", "1",
+             "--max-epochs", "50", "--dims", "2x2x1",
+             "--model-out", str(tmp_path / "d.model")],
+            capsys,
+        )
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_predict_command(tmp_path, capsys):

@@ -66,6 +66,15 @@ def test_split_spec_validation():
         SplitSpec(1.2, -0.1, -0.1)
 
 
+@pytest.mark.parametrize("ratios", [
+    (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+    (0.5, math.inf, -math.inf),
+])
+def test_split_spec_rejects_non_finite_ratios(ratios):
+    with pytest.raises(ValueError, match="finite"):
+        SplitSpec(*ratios)
+
+
 def hundred_entry_tensor(seed=0):
     obs, _, _ = synthesize(SynthSpec(dims=(5, 5, 4), rank=1, density=1.0, seed=seed))
     assert obs.n_entries == 100

@@ -59,6 +59,19 @@ def test_objective_perfect_fit_is_zero():
     assert objective(m, t, "l2") == pytest.approx(0.0, abs=1e-24)
 
 
+def test_predict_equals_predict_entries_bit_for_bit():
+    rng = np.random.default_rng(7)
+    dims = (13, 11, 9)
+    m = FactorModel(
+        *(rng.uniform(0.0, 2.0, (d, 5)) for d in dims),
+        *(rng.uniform(0.0, 1.0, d) for d in dims),
+    )
+    ii, jj, kk = (c.ravel() for c in np.indices(dims))
+    batch = m.predict_entries(ii, jj, kk)
+    single = np.array([m.predict(i, j, k) for i, j, k in zip(ii, jj, kk)])
+    assert (single == batch).all()
+
+
 def test_objective_single_residual_values():
     m = FactorModel(U=[[0.0]], S=[[0.0]], T=[[0.0]], a=[0.0], b=[0.0], c=[0.0])
     t1 = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
