@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt_real
+from ._util import _open_sink, fmt_real
 from .errors import DivergenceError
 from .evaluation import EvalReport, mae
 from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
@@ -159,7 +159,7 @@ class AdmmState:
         """Predictions from the auxiliary variables for all (or some) entries."""
         # ((cp + a) + b) + c, where predict_entries sums cp + ((a + b) + c);
         # sharing one order would change the training trajectory's last bits.
-        ii, jj, kk = _coords(tensor, positions)
+        ii, jj, kk = tensor.idx if positions is None else tensor.idx[:, positions]
         cp = (self.aux_u[ii] * self.aux_s[jj] * self.aux_t[kk]).sum(axis=1)
         return cp + self.aux_a[ii] + self.aux_b[jj] + self.aux_c[kk]
 
@@ -178,21 +178,15 @@ class AdmmState:
         return gap
 
 
-def _coords(tensor, positions=None):
-    if positions is None:
-        return tensor.i, tensor.j, tensor.k
-    return tensor.i[positions], tensor.j[positions], tensor.k[positions]
-
-
-def _column_coef(state, coords, axis, col):
+def _column_coef(state, idx, axis, col):
     # Per-entry coefficient of the mode's own auxiliary value in column
     # `col` of the prediction: the product of the other two modes' column
     # values for a factor column, and 1 for the bias column. Gathering
-    # through 1-D column views is faster than 2-D indexing blk[idx, col].
+    # through 1-D column views is faster than 2-D indexing blk[idx[p], col].
     if col == state.rank:
         return 1.0
     p, q = (m for m in range(3) if m != axis)
-    return state.aux[p][:, col][coords[p]] * state.aux[q][:, col][coords[q]]
+    return state.aux[p][:, col][idx[p]] * state.aux[q][:, col][idx[q]]
 
 
 def _update_coordinate(state, model, tensor, mode, index, col):
@@ -203,7 +197,7 @@ def _update_coordinate(state, model, tensor, mode, index, col):
         return float(aux[index, col])
     y = tensor.y[pos]
     yhat = state.aux_prediction(tensor, pos)
-    coef = _column_coef(state, _coords(tensor, pos), axis, col)
+    coef = _column_coef(state, tensor.idx[:, pos], axis, col)
     delta = cauchy_weight(y - yhat, state.gamma, state.loss)
     partial = yhat - aux[index, col] * coef
     num = float((delta * coef * (y - partial)).sum()) + const[index] * prim[index, col]
@@ -284,16 +278,16 @@ def _sweep_column(state, model, tensor, axis, col, yhat):
     # mode at once; entities of a mode touch disjoint entries, so this
     # equals the ascending-index scalar sweep. Keeps yhat in step.
     _, aux, prim, mult, const = state.groups(model)[axis]
-    coords = _coords(tensor)
-    own = coords[axis]
-    coef = _column_coef(state, coords, axis, col)
-    delta = cauchy_weight(tensor.y - yhat, state.gamma, state.loss)
+    own = tensor.idx[axis]
+    coef = _column_coef(state, tensor.idx, axis, col)
+    # weight * coef once, partial prediction not kept: fewer entry-sized
+    # temporaries at once, so malloc's heap is not grown and trimmed per column
+    wc = cauchy_weight(tensor.y - yhat, state.gamma, state.loss) * coef
     old = aux[:, col]
-    partial = yhat - old[own] * coef
     dim = aux.shape[0]
-    num = np.bincount(own, weights=delta * coef * (tensor.y - partial), minlength=dim)
+    num = np.bincount(own, weights=wc * (tensor.y - (yhat - old[own] * coef)), minlength=dim)
     num += const * prim[:, col] - mult[:, col]
-    den = const + np.bincount(own, weights=delta * coef * coef, minlength=dim)
+    den = const + np.bincount(own, weights=wc * coef, minlength=dim)
     new = old.copy()
     np.divide(num, den, out=new, where=tensor.slice_counts(MODES[axis]) > 0)
     yhat += (new[own] - old[own]) * coef
@@ -349,8 +343,8 @@ def train(tensor_train, tensor_val, config, log=None):
 
     The training and validation tensors must share dims and are expected
     to hold disjoint entry sets (not enforced). ``log``, when given, is a
-    writable sink receiving one diagnostic line per epoch:
-    ``epoch <n> obj <v> val_mae <v> max_primal_residual <v>``.
+    file path or a writable stream receiving one diagnostic line per
+    epoch: ``epoch <n> obj <v> val_mae <v> max_primal_residual <v>``.
     """
     config.validate()
     if tensor_train.n_entries == 0:
@@ -375,28 +369,30 @@ def train(tensor_train, tensor_val, config, log=None):
     rows = []
     diverged = False
 
-    for epoch in range(1, config.max_epochs + 1):
-        try:
-            obj, max_gap = train_epoch(state, model, tensor_train, config)
-        except DivergenceError:
-            diverged = True
-            break
-        val = mae(model, tensor_val)
-        rows.append((epoch, obj, val, max_gap))
-        if log is not None:
-            log.write(
-                f"epoch {epoch} obj {fmt_real(obj)} val_mae {fmt_real(val)}"
-                f" max_primal_residual {fmt_real(max_gap)}\n"
-            )
-        if val < best_val:
-            best_model, best_val, best_epoch = model.copy(), val, epoch
-        if val < progress_ref - config.min_delta:
-            progress_ref = val
-            stall = 0
-        else:
-            stall += 1
-        if stall >= config.patience:
-            break
+    # opened only once the inputs are validated, so a rejected run leaves no log
+    with _open_sink(log) as log_fh:
+        for epoch in range(1, config.max_epochs + 1):
+            try:
+                obj, max_gap = train_epoch(state, model, tensor_train, config)
+            except DivergenceError:
+                diverged = True
+                break
+            val = mae(model, tensor_val)
+            rows.append((epoch, obj, val, max_gap))
+            if log_fh is not None:
+                log_fh.write(
+                    f"epoch {epoch} obj {fmt_real(obj)} val_mae {fmt_real(val)}"
+                    f" max_primal_residual {fmt_real(max_gap)}\n"
+                )
+            if val < best_val:
+                best_model, best_val, best_epoch = model.copy(), val, epoch
+            if val < progress_ref - config.min_delta:
+                progress_ref = val
+                stall = 0
+            else:
+                stall += 1
+            if stall >= config.patience:
+                break
 
     report = EvalReport(
         epochs=rows,

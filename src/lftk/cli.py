@@ -39,10 +39,6 @@ EXIT_FORMAT = 2
 EXIT_DIVERGENCE = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; this toolkit reserves 2 for
     # input format errors, so usage problems exit 1 instead.
@@ -84,30 +80,27 @@ def _write_json(path, obj):
 def _parse_ratios(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"expected ratios as M:N:O, got {text!r}")
+        raise ValueError(f"expected ratios as M:N:O, got {text!r}")
     try:
         vals = [float(p) for p in parts]
     except ValueError:
-        raise UsageError(f"expected numeric ratios, got {text!r}") from None
+        raise ValueError(f"expected numeric ratios, got {text!r}") from None
     total = sum(vals)
     if total <= 0:
-        raise UsageError(f"ratios must have a positive sum, got {text!r}")
+        raise ValueError(f"ratios must have a positive sum, got {text!r}")
     return tuple(v / total for v in vals)
 
 
 def cmd_synth(args):
-    try:
-        spec = SynthSpec(
-            dims=parse_dims(args.dims),
-            rank=args.rank,
-            density=args.density,
-            noise_std=args.noise_std,
-            outlier_rate=args.outlier_rate,
-            outlier_scale=args.outlier_scale,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SynthSpec(
+        dims=parse_dims(args.dims),
+        rank=args.rank,
+        density=args.density,
+        noise_std=args.noise_std,
+        outlier_rate=args.outlier_rate,
+        outlier_scale=args.outlier_scale,
+        seed=args.seed,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     observed, truth, mask = synthesize(spec)
@@ -134,10 +127,7 @@ def cmd_synth(args):
 
 def cmd_split(args):
     m, n, o = _parse_ratios(args.ratios)
-    try:
-        spec = SplitSpec(m, n, o, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SplitSpec(m, n, o, seed=args.seed)
     fmt = _record_format(args)
     tensor = load_records(args.input, fmt)
     train_t, val_t, test_t = split(tensor, spec)
@@ -164,20 +154,17 @@ def cmd_split(args):
 
 
 def cmd_train(args):
-    try:
-        config = TrainConfig(
-            rank=args.rank,
-            gamma=args.gamma,
-            lam=args.lam,
-            eta=args.eta,
-            loss=args.loss,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            min_delta=args.min_delta,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = TrainConfig(
+        rank=args.rank,
+        gamma=args.gamma,
+        lam=args.lam,
+        eta=args.eta,
+        loss=args.loss,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        min_delta=args.min_delta,
+        seed=args.seed,
+    )
     fmt = _record_format(args)
     dims = parse_dims(args.dims) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
@@ -186,14 +173,13 @@ def cmd_train(args):
         # validation entries may reach indices the training file never hits
         dims = tuple(max(d1, d2) for d1, d2 in zip(tensor_train.dims, tensor_val.dims))
         tensor_train, tensor_val = (
-            SparseTensor.from_arrays(dims, t.i, t.j, t.k, t.y)
+            SparseTensor.from_arrays(dims, *t.idx, t.y)
             for t in (tensor_train, tensor_val)
         )
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"
-    with _open_sink(log_path) as log_fh:
-        model, report = train(tensor_train, tensor_val, config, log=log_fh)
+    model, report = train(tensor_train, tensor_val, config, log=log_path)
 
     save_model(model, args.model_out)
     _write_json(report_path, report.summary())
@@ -235,11 +221,7 @@ def cmd_eval(args):
     print(f"mae {fmt_real(mae(model, tensor))}")
     if args.mask:
         flagged = load_outlier_mask(args.mask)
-        keep = [
-            p
-            for p in range(tensor.n_entries)
-            if (int(tensor.i[p]), int(tensor.j[p]), int(tensor.k[p])) not in flagged
-        ]
+        keep = [p for p, cell in enumerate(zip(*tensor.idx.tolist())) if cell not in flagged]
         if not keep:
             raise DataFormatError("outlier mask flags every test entry; clean MAE undefined")
         clean = tensor.take(keep)
@@ -332,9 +314,6 @@ def main(argv=None):
         # overflow is reported by the divergence check (exit 3), not by numpy
         with np.errstate(all="ignore"):
             return args.func(args)
-    except UsageError as exc:
-        print(f"lftk: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataFormatError as exc:
         print(f"lftk: input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -213,8 +213,7 @@ def write_outlier_mask(tensor, mask, sink):
         raise ValueError("mask length does not match the tensor's entry count")
     with _open_sink(sink) as fh:
         fh.write("# flagged entries: i j k (0-based)\n")
-        for p in np.nonzero(mask)[0]:
-            fh.write(f"{tensor.i[p]} {tensor.j[p]} {tensor.k[p]}\n")
+        fh.writelines(f"{i} {j} {k}\n" for i, j, k in tensor.idx[:, mask].T.tolist())
 
 
 def load_outlier_mask(source):

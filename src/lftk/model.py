@@ -144,13 +144,19 @@ def check_loss(loss, gamma):
 def loss_sum(e, loss, gamma):
     """Data term summed over residuals e.
 
-    ``cauchy``: sum of ln(1 + e^2 / gamma^2); grows only logarithmically
-    in a residual, which is what bounds the influence of outlying
-    entries. ``l2``: plain sum of squared residuals.
+    ``cauchy``: sum of ln(1 + e^2 / gamma^2), finite for any finite e;
+    grows only logarithmically in a residual, which is what bounds the
+    influence of outlying entries. ``l2``: plain sum of squared residuals.
     """
     check_loss(loss, gamma)
+    e = np.asarray(e, dtype=np.float64)
     if loss == "cauchy":
-        return float(np.log1p((e / gamma) ** 2).sum())
+        # r = e/gamma: r^2 overflows past 1.3e154, and past 1e150 ln(1 + r^2) is 2 ln r
+        big = np.abs(e) > 1e150 * gamma
+        with np.errstate(over="ignore"):
+            t = np.log1p((e / gamma) ** 2)
+        t[big] = 2 * (np.log(np.abs(e[big])) - np.log(gamma))
+        return float(t.sum())
     return float((e * e).sum())
 
 

@@ -1,9 +1,10 @@
 """Sparse third-order tensor storage with per-mode entry counts.
 
 The observed entries of a user x service x time tensor are kept in
-coordinate form, together with one entry-count vector per mode: for every
-user (service, time) index, how many entries are observed for that
-entity. The vectorized training sweeps need only these counts; the
+coordinate form, as one (3, n) int64 index block (rows user, service,
+time) next to the n values, with one entry-count vector per mode: for
+every user (service, time) index, how many entries are observed for
+that entity. The vectorized training sweeps need only these counts; the
 positions of one entity's entries (its slice) are found on demand by a
 scan, which only the scalar reference updates use.
 """
@@ -40,13 +41,13 @@ class SparseTensor:
     Use :func:`build_tensor` or :meth:`from_arrays` to construct one.
     """
 
-    def __init__(self, dims, i, j, k, y, _validated=False):
+    def __init__(self, dims, idx, y, _validated=False):
         if not _validated:
             raise TypeError("use build_tensor() or SparseTensor.from_arrays()")
         self._dims = dims
-        self._i, self._j, self._k, self._y = i, j, k, y
-        self._counts = [np.bincount(idx, minlength=d) for idx, d in zip((i, j, k), dims)]
-        for arr in (i, j, k, y, *self._counts):
+        self._idx, self._y = idx, y
+        self._counts = [np.bincount(row, minlength=d) for row, d in zip(idx, dims)]
+        for arr in (idx, y, *self._counts):
             arr.flags.writeable = False
 
     @classmethod
@@ -62,24 +63,22 @@ class SparseTensor:
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive integers, got {dims}")
         # Private copies: the tensor freezes its arrays and must not alias
-        # caller-owned storage.
-        i = np.array(i, dtype=np.int64, copy=True)
-        j = np.array(j, dtype=np.int64, copy=True)
-        k = np.array(k, dtype=np.int64, copy=True)
-        y = np.array(y, dtype=np.float64, copy=True)
-        if not (i.shape == j.shape == k.shape == y.shape) or i.ndim != 1:
+        # caller-owned storage. One call, so list input is held only once.
+        idx = np.array((i, j, k), dtype=np.int64)
+        y = np.array(y, dtype=np.float64)
+        if idx.ndim != 2 or y.shape != idx.shape[1:]:
             raise ValueError("coordinate arrays must be equal-length 1-D")
-        for mode, idx, dim in zip(MODES, (i, j, k), dims):
-            if idx.size and (idx.min() < 0 or idx.max() >= dim):
-                bad = idx[(idx < 0) | (idx >= dim)][0]
+        for mode, row, dim in zip(MODES, idx, dims):
+            if row.size and (row.min() < 0 or row.max() >= dim):
+                bad = row[(row < 0) | (row >= dim)][0]
                 raise ValueError(f"{mode} index {bad} out of range for dimension {dim}")
         if y.size:
             if not np.isfinite(y).all():
                 raise ValueError("entry values must be finite")
             if y.min() < 0:
                 raise ValueError(f"entry values must be nonnegative, got {y.min()}")
-        _check_duplicates(dims, i, j, k)
-        return cls(dims, i, j, k, y, _validated=True)
+        _check_duplicates(dims, idx)
+        return cls(dims, idx, y, _validated=True)
 
     @property
     def dims(self):
@@ -95,16 +94,13 @@ class SparseTensor:
         return self._y.size / total
 
     @property
-    def i(self):
-        return self._i
+    def idx(self):
+        """Read-only (3, n) int64 coordinates; rows user, service, time are i, j, k."""
+        return self._idx
 
-    @property
-    def j(self):
-        return self._j
-
-    @property
-    def k(self):
-        return self._k
+    i = property(lambda self: self._idx[0])
+    j = property(lambda self: self._idx[1])
+    k = property(lambda self: self._idx[2])
 
     @property
     def y(self):
@@ -112,7 +108,7 @@ class SparseTensor:
 
     def mode_indices(self, mode):
         """Coordinate array of every entry along the given mode."""
-        return (self._i, self._j, self._k)[_mode_axis(mode)]
+        return self._idx[_mode_axis(mode)]
 
     def slice_counts(self, mode):
         """Number of observed entries per index of the given mode."""
@@ -136,13 +132,11 @@ class SparseTensor:
         return pos
 
     def entry(self, pos):
-        return Entry(
-            int(self._i[pos]), int(self._j[pos]), int(self._k[pos]), float(self._y[pos])
-        )
+        return Entry(*self._idx[:, pos].tolist(), float(self._y[pos]))
 
     def entries(self):
         """All entries, in construction order."""
-        return [self.entry(p) for p in range(self.n_entries)]
+        return list(map(Entry, *self._idx.tolist(), self._y.tolist()))
 
     def take(self, positions):
         """New tensor with the same dims holding the entries at `positions`.
@@ -150,29 +144,24 @@ class SparseTensor:
         Positions come from a valid tensor, so duplicate checking is skipped.
         """
         pos = np.asarray(positions, dtype=np.int64)
-        return SparseTensor(
-            self._dims,
-            self._i[pos].copy(),
-            self._j[pos].copy(),
-            self._k[pos].copy(),
-            self._y[pos].copy(),
-            _validated=True,
-        )
+        # np.take keeps the block C-contiguous; idx[:, pos] would not
+        return SparseTensor(self._dims, self._idx.take(pos, axis=1), self._y[pos],
+                            _validated=True)
 
     def __repr__(self):
         return f"SparseTensor(dims={self._dims}, n_entries={self.n_entries})"
 
 
-def _check_duplicates(dims, i, j, k):
-    if i.size < 2:
+def _check_duplicates(dims, idx):
+    if idx.shape[1] < 2:
         return
-    ravel = (i * dims[1] + j) * dims[2] + k
+    ravel = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
     order = np.argsort(ravel, kind="stable")
     srt = ravel[order]
     dup = np.nonzero(srt[1:] == srt[:-1])[0]
     if dup.size:
         p = order[dup[0]]
-        raise ValueError(f"duplicate entry at ({i[p]}, {j[p]}, {k[p]})")
+        raise ValueError(f"duplicate entry at {tuple(idx[:, p].tolist())}")
 
 
 def build_tensor(dims, entries):
@@ -183,7 +172,7 @@ def build_tensor(dims, entries):
 def entry_arrays(entries):
     """(i, j, k, y) arrays from a SparseTensor or an iterable of entries."""
     if isinstance(entries, SparseTensor):
-        return entries.i, entries.j, entries.k, entries.y
+        return (*entries.idx, entries.y)
     rows = list(entries)
     i = np.array([r[0] for r in rows], dtype=np.int64)
     j = np.array([r[1] for r in rows], dtype=np.int64)

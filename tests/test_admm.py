@@ -581,6 +581,16 @@ def test_train_keeps_best_snapshot_and_logs(tmp_path):
     assert mae(model, va) == pytest.approx(report.best_val_mae, rel=1e-12)
 
 
+def test_train_log_takes_a_path_or_a_stream(tmp_path):
+    tr, va, te = noise_free_case(seed=3)
+    config = TrainConfig(rank=2, max_epochs=5, patience=5, seed=3)
+    sink = io.StringIO()
+    train(tr, va, config, log=sink)
+    path = tmp_path / "train.log"
+    train(tr, va, config, log=str(path))
+    assert path.read_text() == sink.getvalue() != ""
+
+
 def test_train_gamma_limit_matches_l2_updates():
     tr, va, te = noise_free_case(seed=5)
     gamma = 1e6

@@ -330,6 +330,22 @@ def test_train_rejects_hyperparameters_that_overflow(tmp_path, capsys, flag, val
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("case", ["overflowing lambda", "empty training file"])
+def test_rejected_train_leaves_no_log(tmp_path, capsys, case):
+    out, splitdir = make_dataset(tmp_path, capsys)
+    train_file, extra = splitdir / "train.txt", ["--lambda", "1e308"]
+    if case == "empty training file":
+        train_file, extra = tmp_path / "empty.txt", ["--dims", "12x10x6"]
+        train_file.write_text("# no records\n")
+    code, _, err = run(
+        ["train", "--train", str(train_file), "--val", str(splitdir / "validation.txt"),
+         "--max-epochs", "2", "--model-out", str(tmp_path / "m.model"), *extra],
+        capsys,
+    )
+    assert code == 1 and err.startswith("lftk: error:")
+    assert not (tmp_path / "m.model.log").exists()
+
+
 def test_train_overflow_prints_no_runtime_warning(tmp_path, capsys):
     # the Cauchy weights discount both spikes, but e**2 overflows on the way
     data = tmp_path / "big.txt"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lftk.model
 from lftk import FactorModel, build_tensor, load_model, objective, save_model
+from lftk.model import loss_sum
 from oracles import brute_objective
 
 
@@ -70,6 +72,41 @@ def test_predict_equals_predict_entries_bit_for_bit():
     batch = m.predict_entries(ii, jj, kk)
     single = np.array([m.predict(i, j, k) for i, j, k in zip(ii, jj, kk)])
     assert (single == batch).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
+def test_predict_entries_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(11)
+    dims = (7, 6, 5)
+    m = FactorModel(
+        *(rng.uniform(0.0, 2.0, (d, 4)) for d in dims),
+        *(rng.uniform(0.0, 1.0, d) for d in dims),
+    )
+    ii, jj, kk = (c.ravel() for c in np.indices(dims))
+    whole = m.predict_entries(ii, jj, kk)
+    monkeypatch.setattr(lftk.model, "_CHUNK", chunk)
+    assert m.predict_entries(ii, jj, kk).tobytes() == whole.tobytes()
+
+
+def test_cauchy_loss_stays_finite_for_huge_residuals():
+    # (e/gamma)^2 overflows once |e/gamma| passes ~1.3e154
+    assert loss_sum([1e200], "cauchy", 1.0) == pytest.approx(2 * math.log(1e200), rel=1e-15)
+    assert loss_sum([1e300], "cauchy", 1e-150) == pytest.approx(
+        2 * (math.log(1e300) - math.log(1e-150)), rel=1e-15
+    )
+    assert math.isfinite(loss_sum([1e308, -1e308], "cauchy", 1e-150))
+    # the objective of two 1e200 spikes is finite too
+    m = FactorModel(U=[[0.0]], S=[[0.0]], T=[[0.0], [0.0]], a=[0.0], b=[0.0], c=[0.0, 0.0])
+    t = build_tensor((1, 1, 2), [(0, 0, 0, 1e200), (0, 0, 1, 1e200)])
+    assert objective(m, t, "cauchy") == pytest.approx(4 * math.log(1e200), rel=1e-15)
+
+
+def test_cauchy_loss_below_the_cutoff_is_the_plain_sum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    e = rng.standard_normal(1000) * np.logspace(-3, 149, 1000)
+    for gamma in (1e-3, 1.0, 7.5):
+        below = e[np.abs(e) <= 1e150 * gamma]
+        assert loss_sum(below, "cauchy", gamma) == float(np.log1p((below / gamma) ** 2).sum())
 
 
 def test_objective_single_residual_values():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftk import Entry, SparseTensor, build_tensor
+from lftk import Entry, SparseTensor, SplitSpec, build_tensor, split
 from lftk.tensor import MODES, entry_arrays
 
 
@@ -105,6 +105,33 @@ def test_user_slices_flatten_to_permutation(case):
     t = build_tensor(dims, rows)
     flat = [t.entry(int(p)) for x in range(dims[0]) for p in t.slice("user", x)]
     assert sorted(flat) == sorted(Entry(*r) for r in rows)
+
+
+def _assert_one_block(t):
+    assert t.idx.shape == (3, t.n_entries) and t.idx.dtype == np.int64
+    assert t.idx.flags.c_contiguous and not t.idx.flags.writeable
+    for row in (t.i, t.j, t.k):
+        assert np.shares_memory(row, t.idx) or t.n_entries == 0
+        assert not row.flags.writeable
+
+
+@given(sparse_tensors(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_coordinates_are_one_read_only_block(case, data):
+    # a C-contiguous block after take() keeps the training sweeps' row
+    # gathers contiguous; idx[:, pos] would hand back a strided F-order one
+    dims, rows = case
+    t = SparseTensor.from_arrays(dims, *entry_arrays(rows))
+    _assert_one_block(t)
+    pos = data.draw(st.lists(st.sampled_from(range(t.n_entries)), unique=True)
+                    if t.n_entries else st.just([]))
+    sub = t.take(pos)
+    _assert_one_block(sub)
+    ref = SparseTensor.from_arrays(dims, t.i[pos], t.j[pos], t.k[pos], t.y[pos])
+    assert np.array_equal(sub.idx, ref.idx) and np.array_equal(sub.y, ref.y)
+    assert sub.entries() == ref.entries() == [Entry(*rows[p]) for p in pos]
+    for part in split(t, SplitSpec(0.5, 0.25, 0.25, seed=1)):
+        _assert_one_block(part)
 
 
 def test_take_preserves_dims_and_values():
