@@ -1,10 +1,12 @@
-"""Small shared helpers: number formatting, output files, digests, dims."""
+"""Small shared helpers: number formatting, table rows, output files, digests, dims."""
 
 import contextlib
 import hashlib
 import os
 
 import numpy as np
+
+_ROW_BLOCK = 4096
 
 
 def fmt_real(x):
@@ -14,6 +16,18 @@ def fmt_real(x):
     stay compact; parsers accept both plain decimal and scientific forms.
     """
     return np.format_float_positional(float(x), unique=True, trim="-")
+
+
+def write_rows(fh, columns, sep=" "):
+    """One line per row of equal-length columns: ints via ``str``, floats via fmt_real.
+
+    Rows become Python objects a block at a time, never a whole column at once.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmts = [fmt_real if c.dtype.kind == "f" else str for c in columns]
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = [map(f, c[lo : lo + _ROW_BLOCK].tolist()) for f, c in zip(fmts, columns)]
+        fh.writelines(sep.join(row) + "\n" for row in zip(*cells))
 
 
 def _is_path(obj):

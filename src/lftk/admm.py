@@ -367,15 +367,15 @@ def train(tensor_train, tensor_val, config, log=None):
     progress_ref = math.inf
     stall = 0
     rows = []
-    diverged = False
+    divergence = None
 
     # opened only once the inputs are validated, so a rejected run leaves no log
     with _open_sink(log) as log_fh:
         for epoch in range(1, config.max_epochs + 1):
             try:
                 obj, max_gap = train_epoch(state, model, tensor_train, config)
-            except DivergenceError:
-                diverged = True
+            except DivergenceError as exc:
+                divergence = {"group": exc.group, "reason": exc.reason}
                 break
             val = mae(model, tensor_val)
             rows.append((epoch, obj, val, max_gap))
@@ -399,6 +399,7 @@ def train(tensor_train, tensor_val, config, log=None):
         best_epoch=best_epoch,
         best_val_mae=best_val,
         skipped_entities=skipped,
-        diverged=diverged,
+        diverged=divergence is not None,
+        divergence=divergence,
     )
     return best_model, report

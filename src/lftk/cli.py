@@ -9,6 +9,7 @@ error, 2 input format error, 3 numerical divergence.
 import argparse
 import json
 import sys
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .dataio import (
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
 from .model import LOSS_MODES, load_model, save_model
-from .tensor import MODES, SparseTensor
+from .tensor import SparseTensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,6 +57,14 @@ def _add_format_flags(p):
 
 def _record_format(args):
     return RecordFormat(delimiter=args.format, index_base=args.index_base)
+
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _from_args(cls, args, **resolved):  # one flag per field, same name
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | resolved)
 
 
 def _write_manifest(path, command, params, input_paths, seed):
@@ -92,15 +101,7 @@ def _parse_ratios(text):
 
 
 def cmd_synth(args):
-    spec = SynthSpec(
-        dims=parse_dims(args.dims),
-        rank=args.rank,
-        density=args.density,
-        noise_std=args.noise_std,
-        outlier_rate=args.outlier_rate,
-        outlier_scale=args.outlier_scale,
-        seed=args.seed,
-    )
+    spec = _from_args(SynthSpec, args, dims=parse_dims(args.dims))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     observed, truth, mask = synthesize(spec)
@@ -110,14 +111,7 @@ def cmd_synth(args):
     _write_manifest(
         out / "manifest.json",
         "synth",
-        {
-            "dims": list(spec.dims),
-            "rank": spec.rank,
-            "density": spec.density,
-            "noise_std": spec.noise_std,
-            "outlier_rate": spec.outlier_rate,
-            "outlier_scale": spec.outlier_scale,
-        },
+        {k: v for k, v in asdict(spec).items() if k != "seed"},
         [],
         spec.seed,
     )
@@ -154,17 +148,7 @@ def cmd_split(args):
 
 
 def cmd_train(args):
-    config = TrainConfig(
-        rank=args.rank,
-        gamma=args.gamma,
-        lam=args.lam,
-        eta=args.eta,
-        loss=args.loss,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        min_delta=args.min_delta,
-        seed=args.seed,
-    )
+    config = _from_args(TrainConfig, args)
     fmt = _record_format(args)
     dims = parse_dims(args.dims) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
@@ -204,20 +188,17 @@ def cmd_train(args):
     )
     print(f"best epoch {report.best_epoch} val_mae {fmt_real(report.best_val_mae)}")
     if report.diverged:
-        print("training diverged; wrote best snapshot so far", file=sys.stderr)
+        print("training diverged in {group} ({reason}); wrote best snapshot so far"
+              .format(**report.divergence), file=sys.stderr)
         return EXIT_DIVERGENCE
     return EXIT_OK
 
 
 def cmd_eval(args):
     model = load_model(args.model)
-    fmt = _record_format(args)
-    tensor = load_records(args.test, fmt)
-    for mode, have, need in zip(MODES, model.dims, tensor.dims):
-        if need > have:
-            raise DataFormatError(
-                f"{mode} dimension {need} in test data exceeds model dimension {have}"
-            )
+    tensor = load_records(args.test, _record_format(args), model.dims)
+    if not tensor.n_entries:
+        raise DataFormatError("no records found in the test file")
     print(f"mae {fmt_real(mae(model, tensor))}")
     if args.mask:
         flagged = load_outlier_mask(args.mask)
@@ -233,7 +214,7 @@ def cmd_predict(args):
     model = load_model(args.model)
     fmt = _record_format(args)
     tensor = load_records(args.entries, fmt, model.dims)
-    write_predictions(model, tensor, args.out)
+    write_predictions(model, tensor, args.out, fmt)
     _write_manifest(
         str(args.out) + ".manifest.json",
         "predict",
@@ -255,12 +236,12 @@ def build_parser():
     p.add_argument("--dims", required=True, help="tensor dims as IxJxK")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--density", type=float, required=True)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--outlier-rate", type=float, default=0.0)
-    p.add_argument("--outlier-scale", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--outlier-rate", type=float)
+    p.add_argument("--outlier-scale", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **_field_defaults(SynthSpec))
 
     p = sub.add_parser("split",
                        help="split a record file into train/validation/test")
@@ -275,20 +256,20 @@ def build_parser():
     p.add_argument("--train", required=True, help="training record file")
     p.add_argument("--val", required=True, help="validation record file")
     p.add_argument("--dims", help="tensor dims as IxJxK (default: inferred)")
-    p.add_argument("--loss", choices=LOSS_MODES, default="cauchy")
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--min-delta", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--loss", choices=LOSS_MODES)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--min-delta", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--model-out", required=True)
     p.add_argument("--log-out", help="per-epoch diagnostic log (default <model-out>.log)")
     p.add_argument("--report-out", help="JSON training report (default <model-out>.report.json)")
     _add_format_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **_field_defaults(TrainConfig))
 
     p = sub.add_parser("eval", help="evaluate a model on a test file")
     p.add_argument("--model", required=True)

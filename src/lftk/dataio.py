@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _is_path, _open_sink, fmt_real
+from ._util import _is_path, _open_sink, fmt_real, write_rows
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
@@ -34,13 +34,9 @@ class RecordFormat:
         if self.index_base not in (0, 1):
             raise ValueError(f"index_base must be 0 or 1, got {self.index_base}")
 
-    def split_line(self, line):
-        if self.delimiter == "comma":
-            return [f.strip() for f in line.split(",")]
-        return line.split()
-
-    def join_fields(self, fields):
-        return (",".join(fields)) if self.delimiter == "comma" else " ".join(fields)
+    @property
+    def sep(self):  # " " is read as any run of whitespace
+        return "," if self.delimiter == "comma" else " "
 
 
 def _text_lines(source):
@@ -55,14 +51,14 @@ def _text_lines(source):
     yield from io.TextIOWrapper(source, encoding="utf-8")
 
 
-def _record_lines(source, split_line, n_fields):
+def _record_lines(source, sep, n_fields):
     # (line number, fields) of every record line; blank and "#" lines are
     # skipped, and a line with the wrong field count is rejected.
     for lineno, raw in enumerate(_text_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = split_line(line)
+        fields = line.split(None if sep == " " else sep)
         if len(fields) != n_fields:
             raise DataFormatError(
                 f"line {lineno}: expected {n_fields} fields, got {len(fields)}"
@@ -82,7 +78,7 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     """
     base = fmt.index_base
     ii, jj, kk, yy = [], [], [], []
-    for lineno, fields in _record_lines(source, fmt.split_line, 4):
+    for lineno, fields in _record_lines(source, fmt.sep, 4):
         try:
             i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
             y = float(fields[3])
@@ -110,14 +106,16 @@ def load_records(source, fmt=RecordFormat(), dims=None):
         raise DataFormatError(str(exc)) from None
 
 
+def _file_coords(coords, fmt):
+    # base 0 needs no shifted copy of the coordinates
+    return [c + fmt.index_base for c in coords] if fmt.index_base else coords
+
+
 def write_records(entries, sink, fmt=RecordFormat()):
     """Inverse of :func:`load_records`: one record line per entry."""
-    ii, jj, kk, yy = entry_arrays(entries)
-    base = fmt.index_base
+    *coords, y = entry_arrays(entries)
     with _open_sink(sink) as fh:
-        for i, j, k, y in zip(ii, jj, kk, yy):
-            fields = (str(i + base), str(j + base), str(k + base), fmt_real(y))
-            fh.write(fmt.join_fields(fields) + "\n")
+        write_rows(fh, (*_file_coords(coords, fmt), y), fmt.sep)
 
 
 @dataclass(frozen=True)
@@ -195,15 +193,12 @@ def synthesize(spec):
     return observed, truth, mask
 
 
-def write_predictions(model, entries, sink):
-    """Write ``i j k y_true y_pred abs_err`` lines for the given entries."""
-    ii, jj, kk, yy = entry_arrays(entries)
-    pred = model.predict_entries(ii, jj, kk) if yy.size else np.empty(0)
+def write_predictions(model, entries, sink, fmt=RecordFormat()):
+    """Write each entry's record line in ``fmt``, then ``y_pred abs_err``."""
+    *coords, y = entry_arrays(entries)
+    pred = model.predict_entries(*coords)
     with _open_sink(sink) as fh:
-        for i, j, k, y, p in zip(ii, jj, kk, yy, pred):
-            fh.write(
-                f"{i} {j} {k} {fmt_real(y)} {fmt_real(p)} {fmt_real(abs(y - p))}\n"
-            )
+        write_rows(fh, (*_file_coords(coords, fmt), y, pred, np.abs(y - pred)), fmt.sep)
 
 
 def write_outlier_mask(tensor, mask, sink):
@@ -213,13 +208,13 @@ def write_outlier_mask(tensor, mask, sink):
         raise ValueError("mask length does not match the tensor's entry count")
     with _open_sink(sink) as fh:
         fh.write("# flagged entries: i j k (0-based)\n")
-        fh.writelines(f"{i} {j} {k}\n" for i, j, k in tensor.idx[:, mask].T.tolist())
+        write_rows(fh, tensor.idx[:, mask])
 
 
 def load_outlier_mask(source):
     """Read flagged coordinates back as a set of (i, j, k) triples."""
     triples = set()
-    for lineno, fields in _record_lines(source, str.split, 3):
+    for lineno, fields in _record_lines(source, " ", 3):
         try:
             triples.add(tuple(int(f) for f in fields))
         except ValueError:

@@ -37,30 +37,34 @@ class EvalReport:
     ``epochs`` rows are (epoch, training objective, validation MAE, max
     primal residual). ``skipped_entities`` counts, per mode, the entities
     with no training entries; these keep their initial factors and are
-    the cold entities of any later test set. ``partition`` names the
-    update-order scheme so runs are reproducible byte for byte. When no
-    epoch completed, ``best_val_mae`` is infinite and :meth:`summary`
-    reports it as ``None`` (JSON ``null``).
+    the cold entities of any later test set. ``divergence`` holds the
+    ``group`` and ``reason`` of a divergence, and :meth:`summary` reports it
+    only for a run that diverged. When no epoch completed, ``best_val_mae``
+    is infinite and :meth:`summary` reports it as ``None`` (JSON ``null``).
     """
 
     epochs: list
     best_epoch: int
     best_val_mae: float
-    test_mae: float | None = None
     skipped_entities: dict = field(default_factory=dict)
     diverged: bool = False
-    partition: str = "single"
+    divergence: dict | None = None
 
     def summary(self):
-        return {
+        # no test set is scored during training, and the sweeps have one
+        # update order ("single"), so both keys are constants
+        out = {
             "epochs_run": len(self.epochs),
             "best_epoch": self.best_epoch,
             "best_val_mae": self.best_val_mae if math.isfinite(self.best_val_mae) else None,
-            "test_mae": self.test_mae,
+            "test_mae": None,
             "skipped_entities": self.skipped_entities,
             "diverged": self.diverged,
-            "partition": self.partition,
+            "partition": "single",
         }
+        if self.divergence:
+            out["divergence"] = self.divergence
+        return out
 
 
 def mae(model, entries):

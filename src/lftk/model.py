@@ -12,9 +12,9 @@ versioned ``lft-model v1`` text format.
 
 import numpy as np
 
-from ._util import _open_sink, fmt_real
+from ._util import _open_sink, write_rows
 from .errors import DataFormatError
-from .tensor import entry_arrays
+from .tensor import MODES, check_coords, entry_arrays
 
 MODEL_HEADER = "lft-model v1"
 
@@ -104,18 +104,14 @@ class FactorModel:
 
     def predict(self, i, j, k):
         """Point prediction for cell (i, j, k); equals :meth:`predict_entries`."""
-        return float(self.predict_entries([int(i)], [int(j)], [int(k)])[0])
+        return float(self.predict_entries([i], [j], [k])[0])
 
     def predict_entries(self, ii, jj, kk):
         """Vectorized prediction over coordinate arrays (chunked for memory)."""
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        kk = np.asarray(kk, dtype=np.int64)
-        ni, nj, nk = self.dims
-        for mode, idx, dim in (("user", ii, ni), ("service", jj, nj), ("time", kk, nk)):
-            if idx.size and (idx.min() < 0 or idx.max() >= dim):
-                bad = idx[(idx < 0) | (idx >= dim)][0]
-                raise IndexError(f"{mode} index {bad} out of range for dimension {dim}")
+        coords = [np.asarray(c) for c in (ii, jj, kk)]
+        for mode, c, dim in zip(MODES, coords, self.dims):
+            check_coords(mode, c, dim, IndexError)
+        ii, jj, kk = (c.astype(np.int64, copy=False) for c in coords)
         out = np.empty(ii.size, dtype=np.float64)
         for lo in range(0, ii.size, _CHUNK):
             hi = min(lo + _CHUNK, ii.size)
@@ -179,9 +175,7 @@ def save_model(model, path):
         fh.write(f"{MODEL_HEADER} {model.rank} {ni} {nj} {nk}\n")
         for name, arr in model.arrays():
             fh.write(name + "\n")
-            rows = arr if arr.ndim == 2 else arr[:, None]
-            for row in rows:
-                fh.write(" ".join(fmt_real(v) for v in row) + "\n")
+            write_rows(fh, arr.reshape(len(arr), -1).T)
 
 
 def load_model(path):

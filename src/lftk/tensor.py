@@ -64,14 +64,13 @@ class SparseTensor:
             raise ValueError(f"dims must be three positive integers, got {dims}")
         # Private copies: the tensor freezes its arrays and must not alias
         # caller-owned storage. One call, so list input is held only once.
-        idx = np.array((i, j, k), dtype=np.int64)
+        idx = np.array((i, j, k))
         y = np.array(y, dtype=np.float64)
         if idx.ndim != 2 or y.shape != idx.shape[1:]:
             raise ValueError("coordinate arrays must be equal-length 1-D")
         for mode, row, dim in zip(MODES, idx, dims):
-            if row.size and (row.min() < 0 or row.max() >= dim):
-                bad = row[(row < 0) | (row >= dim)][0]
-                raise ValueError(f"{mode} index {bad} out of range for dimension {dim}")
+            check_coords(mode, row, dim)
+        idx = idx.astype(np.int64, copy=False)
         if y.size:
             if not np.isfinite(y).all():
                 raise ValueError("entry values must be finite")
@@ -122,12 +121,8 @@ class SparseTensor:
         permutation of the entry positions.
         """
         axis = _mode_axis(mode)
-        index = int(index)
-        if not 0 <= index < self._dims[axis]:
-            raise IndexError(
-                f"{mode} index {index} out of range for dimension {self._dims[axis]}"
-            )
-        pos = np.flatnonzero(self.mode_indices(mode) == index)
+        check_coords(mode, np.asarray([index]), self._dims[axis], IndexError)
+        pos = np.flatnonzero(self._idx[axis] == index)
         pos.flags.writeable = False
         return pos
 
@@ -152,6 +147,21 @@ class SparseTensor:
         return f"SparseTensor(dims={self._dims}, n_entries={self.n_entries})"
 
 
+def check_coords(mode, row, dim, error=ValueError):
+    """Reject a ``mode`` coordinate that is not a whole number in ``[0, dim)``.
+
+    A float that is not integral (0.7, NaN, inf) raises ``ValueError`` rather
+    than being truncated; an index out of range raises ``error``.
+    """
+    if row.dtype.kind == "f":
+        whole = np.isfinite(row) & (row == np.trunc(row))
+        if not whole.all():
+            raise ValueError(f"{mode} index {row[~whole][0]} is not an integer")
+    if row.size and (row.min() < 0 or row.max() >= dim):
+        bad = row[(row < 0) | (row >= dim)][0]
+        raise error(f"{mode} index {int(bad)} out of range for dimension {dim}")
+
+
 def _check_duplicates(dims, idx):
     if idx.shape[1] < 2:
         return
@@ -173,9 +183,7 @@ def entry_arrays(entries):
     """(i, j, k, y) arrays from a SparseTensor or an iterable of entries."""
     if isinstance(entries, SparseTensor):
         return (*entries.idx, entries.y)
+    # coordinates keep their own dtype: a cast to int would truncate 0.7 to 0
     rows = list(entries)
-    i = np.array([r[0] for r in rows], dtype=np.int64)
-    j = np.array([r[1] for r in rows], dtype=np.int64)
-    k = np.array([r[2] for r in rows], dtype=np.int64)
-    y = np.array([r[3] for r in rows], dtype=np.float64)
-    return i, j, k, y
+    i, j, k = (np.array([r[m] for r in rows]) for m in range(3))
+    return i, j, k, np.array([r[3] for r in rows], dtype=np.float64)

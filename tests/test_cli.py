@@ -1,9 +1,11 @@
 import json
 import warnings
+from dataclasses import MISSING, fields
 
 import pytest
 
-from lftk.cli import main
+from lftk import SynthSpec, TrainConfig
+from lftk.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -382,3 +384,67 @@ def test_predict_command(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text() == "0 0 0 1 1 0\n"
+
+
+def _unit_model(path):
+    from lftk import FactorModel, save_model
+
+    save_model(FactorModel(U=[[1.0]], S=[[1.0]], T=[[1.0]], a=[0.0], b=[0.0], c=[0.0]), path)
+
+
+def test_predict_writes_coordinates_in_the_input_format(tmp_path, capsys):
+    model_path = tmp_path / "m.model"
+    _unit_model(model_path)
+    entries = tmp_path / "e.csv"
+    entries.write_text("1,1,1,2.0\n")
+    out = tmp_path / "pred.txt"
+    code, _, _ = run(
+        ["predict", "--model", str(model_path), "--entries", str(entries),
+         "--out", str(out), "--format", "comma", "--index-base", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_text() == "1,1,1,2,1,1\n"
+
+
+@pytest.mark.parametrize("content,message", [
+    ("# no records\n", "no records"),
+    ("0 0 1 1.0\n", "time index 1 out of range for dimension 1"),
+])
+def test_eval_rejects_test_data_the_model_cannot_score(tmp_path, capsys, content, message):
+    model_path = tmp_path / "m.model"
+    _unit_model(model_path)
+    test_file = tmp_path / "t.txt"
+    test_file.write_text(content)
+    code, stdout, err = run(["eval", "--model", str(model_path), "--test", str(test_file)],
+                            capsys)
+    assert code == 2
+    assert message in err and stdout == ""
+
+
+@pytest.mark.parametrize("argv,cls", [
+    (["train", "--train", "t", "--val", "v", "--model-out", "m"], TrainConfig),
+    (["synth", "--dims", "2x2x2", "--rank", "1", "--density", "1", "--out", "o"], SynthSpec),
+])
+def test_parsed_defaults_are_the_dataclass_defaults(argv, cls):
+    args = build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    # repr also pins the type: 0 and 0.0 would write different manifests
+    assert {k: repr(getattr(args, k)) for k in defaults} == {
+        k: repr(v) for k, v in defaults.items()
+    }
+
+
+def test_train_divergence_names_group_and_reason(tmp_path, capsys):
+    data = tmp_path / "big.txt"
+    data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
+    code, _, err = run(
+        ["train", "--train", str(data), "--val", str(data), "--loss", "l2",
+         "--rank", "1", "--dims", "2x2x1", "--model-out", str(tmp_path / "d.model")],
+        capsys,
+    )
+    assert code == 3
+    cause = {"group": "auxiliary user factors", "reason": "magnitude exceeds 1e+12"}
+    report = json.loads((tmp_path / "d.model.report.json").read_text())
+    assert report["diverged"] is True and report["divergence"] == cause
+    assert f"diverged in {cause['group']} ({cause['reason']})" in err

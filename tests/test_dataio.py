@@ -16,6 +16,7 @@ from lftk import (
     write_predictions,
     write_records,
 )
+from lftk._util import _ROW_BLOCK, fmt_real, write_rows
 from lftk.dataio import (
     load_outlier_mask,
     write_outlier_mask,
@@ -179,3 +180,54 @@ def test_split_metadata_byte_layout(tmp_path):
         '{"m_ratio": 0.16, "n_ratio": 0.04, "o_ratio": 0.8, "seed": 5,'
         ' "counts": {"train": 16, "validation": 4, "test": 80}}\n'
     )
+
+
+def test_comma_fields_may_carry_blanks():
+    fmt = RecordFormat("comma", 1)
+    t = load_records(io.StringIO("1, 2 ,1,\t3.5\n"), fmt)
+    assert t.entries() == [(0, 1, 0, 3.5)]
+
+
+def test_write_predictions_uses_the_record_format():
+    m = FactorModel(U=[[1.0]], S=[[1.0]], T=[[1.0]], a=[0.0], b=[0.0], c=[0.0])
+    buf = io.StringIO()
+    write_predictions(m, load_records(io.StringIO("1,1,1,2.0\n"), RecordFormat("comma", 1)),
+                      buf, RecordFormat("comma", 1))
+    assert buf.getvalue() == "1,1,1,2,1,1\n"
+
+
+def _reference_rows(columns, sep):
+    # one row at a time, straight from the rule: ints via str, floats via fmt_real
+    lines = []
+    for r in range(len(columns[0])):
+        cells = [str(int(c[r])) if c.dtype.kind == "i" else fmt_real(c[r]) for c in columns]
+        lines.append(sep.join(cells) + "\n")
+    return "".join(lines)
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 1e16, 1e300, 3.0, -42.0, 0.0]
+
+
+@given(
+    n_rows=st.sampled_from([0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+    sep=st.sampled_from([" ", ","]),
+    kinds=st.lists(st.sampled_from("if"), min_size=1, max_size=4),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_write_rows_matches_per_row_formatting(n_rows, sep, kinds, ints, floats, data):
+    float_pool = data.draw(st.permutations(floats + _EDGE_FLOATS))
+    columns = [
+        np.resize(np.array(ints, dtype=np.int64), n_rows) if kind == "i"
+        else np.resize(np.array(float_pool, dtype=np.float64), n_rows)
+        for kind in kinds
+    ]
+    buf = io.StringIO()
+    write_rows(buf, columns, sep)
+    got, want = buf.getvalue(), _reference_rows(columns, sep)
+    # line by line: a diff of two 4097-line strings would take minutes to report
+    for row, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        assert g == w, f"row {row}"
+    assert len(got) == len(want)

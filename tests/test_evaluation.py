@@ -136,3 +136,16 @@ def test_report_invariants():
     assert rep.best_val_mae == min(r[2] for r in rep.epochs)
     assert rep.summary()["epochs_run"] == 3
     assert rep.summary()["partition"] == "single"
+
+
+def test_report_keeps_the_divergence_cause_only_when_diverged():
+    keys = ["epochs_run", "best_epoch", "best_val_mae", "test_mae", "skipped_entities",
+            "diverged", "partition"]
+    rep = EvalReport(epochs=[(1, 5.0, 0.9, 0.5)], best_epoch=1, best_val_mae=0.9)
+    assert list(rep.summary()) == keys
+    assert rep.summary()["test_mae"] is None and rep.summary()["partition"] == "single"
+    cause = {"group": "projected U", "reason": "non-finite value"}
+    rep = EvalReport(epochs=[], best_epoch=0, best_val_mae=math.inf, diverged=True,
+                     divergence=cause)
+    assert list(rep.summary()) == keys + ["divergence"]
+    assert rep.summary()["divergence"] == cause

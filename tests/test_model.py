@@ -223,3 +223,13 @@ def test_load_model_rejects_malformed(tmp_path):
     p.write_text("lft-model v1 1 1 1 1\nU\n-0.5\nS\n0\nT\n0\na\n0\nb\n0\nc\n0\n")
     with pytest.raises(DataFormatError, match="negative"):
         load_model(p)
+
+
+@pytest.mark.parametrize("bad", [0.7, math.nan, math.inf])
+def test_predict_rejects_non_integral_coordinates(bad):
+    m = FactorModel.initialize((2, 2, 2), 1, seed=0)
+    with pytest.raises(ValueError, match="user index"):
+        m.predict(bad, 0, 0)
+    with pytest.raises(ValueError, match="service index"):
+        m.predict_entries([0], [bad], [0])
+    assert m.predict(1.0, 0.0, 1.0) == m.predict(1, 0, 1)

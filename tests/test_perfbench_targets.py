@@ -1,0 +1,56 @@
+"""The benchmark's tracer still fits the code it wraps.
+
+``perfbench/spans.py`` times lftk by swapping the module and class
+attributes listed in ``TARGETS``, and its counters read some call arguments
+by position. A rename or a reordered signature in ``src/`` would otherwise
+only show up as a failing ``--trace 1`` run.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+class _Anything:
+    # stands in for every argument and result a counter looks at
+    n_entries = size = best_epoch = 0
+    epochs = ()
+
+    def __len__(self):
+        return 0
+
+    def __getitem__(self, key):
+        return self
+
+
+@pytest.mark.parametrize("target", spans.TARGETS, ids=lambda t: f"{t[0].__name__}.{t[1]}")
+def test_target_exists_and_counter_reads_named_positions(target, monkeypatch):
+    owner, attr, _, counter = target
+    assert attr in owner.__dict__, f"{owner.__name__} has no attribute {attr}"
+    if counter is None:
+        return
+    read = []
+
+    def recording_arg(args, kwargs, pos, name):
+        read.append((pos, name))
+        return _Anything()
+
+    monkeypatch.setattr(spans, "_arg", recording_arg)
+    counter((), {}, _Anything())
+    params = list(inspect.signature(getattr(owner, attr)).parameters)
+    for pos, name in read:
+        assert params[pos] == name, f"{attr} argument {pos} is {params[pos]!r}, not {name!r}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,24 @@ def test_entry_arrays_accepts_tensor_and_iterables():
         ii, jj, kk, yy = entry_arrays(src)
         assert yy.tolist() == [1.5, 2.5]
         assert ii.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("bad", [0.7, math.nan, math.inf])
+def test_non_integral_coordinates_are_rejected_naming_the_mode(bad):
+    with pytest.raises(ValueError, match="user index"):
+        build_tensor((2, 2, 2), [(bad, 1, 0, 1.0)])
+    with pytest.raises(ValueError, match="time index"):
+        SparseTensor.from_arrays((2, 2, 2), [0], [1], np.array([bad]), [1.0])
+    t = build_tensor((2, 2, 2), [(0, 1, 0, 1.0)])
+    with pytest.raises(ValueError, match="service index"):
+        t.slice("service", bad)
+
+
+def test_integral_float_coordinates_are_accepted():
+    t = build_tensor((4, 4, 4), [(3.0, 1.0, 2.0, 1.0)])
+    assert t.idx.dtype == np.int64
+    assert t.entries() == [Entry(3, 1, 2, 1.0)]
+    assert t.slice("user", 3.0).tolist() == [0]
 
 
 @pytest.mark.slow
