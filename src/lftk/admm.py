@@ -26,8 +26,11 @@ retain their initial values.
 Within one phase (one column of one mode), rows of the same mode touch
 disjoint entry sets, so updating them in ascending index order is
 identical to updating them simultaneously; the sweeps below exploit this
-with vectorized per-phase updates. This single deterministic partition is
-recorded in the training report.
+with vectorized per-phase updates. Each sweep walks the entries in
+cache-sized chunks through reused buffers and sums each entity's terms with
+``np.add.at``, which adds in entry order exactly as one ``np.bincount`` over
+all entries would, so results do not depend on the chunk size. This single
+deterministic partition is recorded in the training report.
 """
 
 import math
@@ -39,12 +42,15 @@ from ._util import _open_sink, fmt_real
 from .errors import DivergenceError
 from .evaluation import EvalReport, mae
 from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
-from .model import FactorModel, block_views, check_loss, loss_sum, objective
+from .model import FactorModel, _predict, block_views, check_loss, loss_sum, objective
 from .tensor import MODES
 
 # Magnitude at which training is declared divergent; the coupled
 # nonconvex updates carry no global convergence guarantee.
 DIVERGENCE_LIMIT = 1e12
+
+# entries per chunk of a column sweep: its work buffers stay in cache
+_SWEEP_CHUNK = 1 << 13
 
 
 @dataclass
@@ -157,11 +163,7 @@ class AdmmState:
 
     def aux_prediction(self, tensor, positions=None):
         """Predictions from the auxiliary variables for all (or some) entries."""
-        # ((cp + a) + b) + c, where predict_entries sums cp + ((a + b) + c);
-        # sharing one order would change the training trajectory's last bits.
-        ii, jj, kk = tensor.idx if positions is None else tensor.idx[:, positions]
-        cp = (self.aux_u[ii] * self.aux_s[jj] * self.aux_t[kk]).sum(axis=1)
-        return cp + self.aux_a[ii] + self.aux_b[jj] + self.aux_c[kk]
+        return _predict(self.aux, *(tensor.idx if positions is None else tensor.idx[:, positions]))
 
     def groups(self, model):
         """(mode, aux, primal, multiplier, constants) for each mode's block."""
@@ -178,7 +180,7 @@ class AdmmState:
         return gap
 
 
-def _column_coef(state, idx, axis, col):
+def _column_coef(state, idx, axis, col, out=None):
     # Per-entry coefficient of the mode's own auxiliary value in column
     # `col` of the prediction: the product of the other two modes' column
     # values for a factor column, and 1 for the bias column. Gathering
@@ -186,7 +188,7 @@ def _column_coef(state, idx, axis, col):
     if col == state.rank:
         return 1.0
     p, q = (m for m in range(3) if m != axis)
-    return state.aux[p][:, col][idx[p]] * state.aux[q][:, col][idx[q]]
+    return np.multiply(state.aux[p][:, col][idx[p]], state.aux[q][:, col][idx[q]], out=out)
 
 
 def _update_coordinate(state, model, tensor, mode, index, col):
@@ -273,24 +275,33 @@ def lagrangian_value(state, model, tensor, config):
     return value
 
 
-def _sweep_column(state, model, tensor, axis, col, yhat):
-    # Closed-form update of one auxiliary column for every entity of the
-    # mode at once; entities of a mode touch disjoint entries, so this
-    # equals the ascending-index scalar sweep. Keeps yhat in step.
+def _sweep_column(state, model, tensor, axis, col, yhat, coef):
+    # One auxiliary column for every entity of the mode at once, chunk by
+    # chunk; `coef` keeps a factor column's coefficients for the yhat update.
     _, aux, prim, mult, const = state.groups(model)[axis]
-    own = tensor.idx[axis]
-    coef = _column_coef(state, tensor.idx, axis, col)
-    # weight * coef once, partial prediction not kept: fewer entry-sized
-    # temporaries at once, so malloc's heap is not grown and trimmed per column
-    wc = cauchy_weight(tensor.y - yhat, state.gamma, state.loss) * coef
-    old = aux[:, col]
-    dim = aux.shape[0]
-    num = np.bincount(own, weights=wc * (tensor.y - (yhat - old[own] * coef)), minlength=dim)
+    idx, y, own, old = tensor.idx, tensor.y, tensor.idx[axis], aux[:, col]
+    num, den, buf = np.zeros(len(old)), np.zeros(len(old)), np.empty(min(_SWEEP_CHUNK, y.size))
+    for lo in range(0, y.size, _SWEEP_CHUNK):
+        at, wc = slice(lo, lo + _SWEEP_CHUNK), buf[: min(_SWEEP_CHUNK, y.size - lo)]
+        if state.loss == "l2":
+            wc.fill(1.0)
+        else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
+            np.square(np.subtract(y[at], yhat[at], out=wc), out=wc)
+            np.divide(1.0, np.add(wc, state.gamma * state.gamma, out=wc), out=wc)
+        c = _column_coef(state, idx[:, at], axis, col, out=coef[at])  # 1.0 for a bias
+        wc *= c
+        term = old[own[at]]
+        term *= c
+        term = np.subtract(y[at], np.subtract(yhat[at], term, out=term), out=term)
+        np.add.at(num, own[at], np.multiply(wc, term, out=term))
+        np.add.at(den, own[at], np.multiply(wc, c, out=wc))
     num += const * prim[:, col] - mult[:, col]
-    den = const + np.bincount(own, weights=wc * coef, minlength=dim)
     new = old.copy()
-    np.divide(num, den, out=new, where=tensor.slice_counts(MODES[axis]) > 0)
-    yhat += (new[own] - old[own]) * coef
+    np.divide(num, const + den, out=new, where=tensor.slice_counts(MODES[axis]) > 0)
+    step = new - old
+    for lo in range(0, y.size, _SWEEP_CHUNK):
+        at = slice(lo, lo + _SWEEP_CHUNK)
+        yhat[at] += step[own[at]] * coef[at] if col < state.rank else step[own[at]]
     old[:] = new
 
 
@@ -312,14 +323,16 @@ def train_epoch(state, model, tensor, config):
     group that first produced a non-finite or runaway value.
     """
     yhat = state.aux_prediction(tensor)
+    coef = np.empty_like(yhat)
     rank = model.rank
     for axis, mode in enumerate(MODES):
         for col in range(rank):
-            _sweep_column(state, model, tensor, axis, col, yhat)
+            _sweep_column(state, model, tensor, axis, col, yhat, coef)
         _check_group(f"auxiliary {mode} factors", state.aux[axis][:, :rank])
     for axis, mode in enumerate(MODES):
-        _sweep_column(state, model, tensor, axis, rank, yhat)
+        _sweep_column(state, model, tensor, axis, rank, yhat, coef)
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
+    del yhat, coef  # freed before the objective allocates its own
     project_nonnegative(state, model)
     for name, arr in model.arrays():
         _check_group(f"projected {name}", arr)
@@ -352,22 +365,13 @@ def train(tensor_train, tensor_val, config, log=None):
     if tensor_val.n_entries == 0:
         raise ValueError("validation set is empty")
     if tensor_train.dims != tensor_val.dims:
-        raise ValueError(
-            f"train dims {tensor_train.dims} != validation dims {tensor_val.dims}"
-        )
+        raise ValueError(f"train dims {tensor_train.dims} != validation dims {tensor_val.dims}")
     model = FactorModel.initialize(tensor_train.dims, config.rank, config.seed)
     state = AdmmState.initialize(model, tensor_train, config)
-    skipped = {
-        mode: int((tensor_train.slice_counts(mode) == 0).sum()) for mode in MODES
-    }
+    skipped = {mode: int((tensor_train.slice_counts(mode) == 0).sum()) for mode in MODES}
 
-    best_model = model.copy()
-    best_val = math.inf
-    best_epoch = 0
-    progress_ref = math.inf
-    stall = 0
-    rows = []
-    divergence = None
+    best_model, best_val, best_epoch = model.copy(), math.inf, 0
+    progress_ref, stall, rows, divergence = math.inf, 0, [], None
 
     # opened only once the inputs are validated, so a rejected run leaves no log
     with _open_sink(log) as log_fh:
@@ -394,12 +398,7 @@ def train(tensor_train, tensor_val, config, log=None):
             if stall >= config.patience:
                 break
 
-    report = EvalReport(
-        epochs=rows,
-        best_epoch=best_epoch,
-        best_val_mae=best_val,
-        skipped_entities=skipped,
-        diverged=divergence is not None,
-        divergence=divergence,
-    )
+    report = EvalReport(epochs=rows, best_epoch=best_epoch, best_val_mae=best_val,
+                        skipped_entities=skipped, diverged=divergence is not None,
+                        divergence=divergence)
     return best_model, report

@@ -106,16 +106,11 @@ def load_records(source, fmt=RecordFormat(), dims=None):
         raise DataFormatError(str(exc)) from None
 
 
-def _file_coords(coords, fmt):
-    # base 0 needs no shifted copy of the coordinates
-    return [c + fmt.index_base for c in coords] if fmt.index_base else coords
-
-
 def write_records(entries, sink, fmt=RecordFormat()):
     """Inverse of :func:`load_records`: one record line per entry."""
-    *coords, y = entry_arrays(entries)
+    columns = entry_arrays(entries)
     with _open_sink(sink) as fh:
-        write_rows(fh, (*_file_coords(coords, fmt), y), fmt.sep)
+        write_rows(fh, columns, fmt.sep, fmt.index_base)
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,7 @@ def write_predictions(model, entries, sink, fmt=RecordFormat()):
     *coords, y = entry_arrays(entries)
     pred = model.predict_entries(*coords)
     with _open_sink(sink) as fh:
-        write_rows(fh, (*_file_coords(coords, fmt), y, pred, np.abs(y - pred)), fmt.sep)
+        write_rows(fh, (*coords, y, pred, np.abs(y - pred)), fmt.sep, fmt.index_base)
 
 
 def write_outlier_mask(tensor, mask, sink):

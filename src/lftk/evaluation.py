@@ -77,7 +77,8 @@ def mae(model, entries):
     ii, jj, kk, yy = entry_arrays(entries)
     if yy.size == 0:
         raise ValueError("cannot compute MAE over an empty entry set")
-    return float(np.abs(yy - model.predict_entries(ii, jj, kk)).mean())
+    e = model.predict_entries(ii, jj, kk)
+    return float(np.abs(np.subtract(yy, e, out=e), out=e).mean())
 
 
 def split_sizes(n_entries, spec):

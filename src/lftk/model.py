@@ -18,7 +18,8 @@ from .tensor import MODES, check_coords, entry_arrays
 
 MODEL_HEADER = "lft-model v1"
 
-_CHUNK = 1 << 18
+# entries per chunk of the prediction kernel: its gathers stay in cache
+_CHUNK = 1 << 14
 
 LOSS_MODES = ("cauchy", "l2")
 
@@ -111,14 +112,7 @@ class FactorModel:
         coords = [np.asarray(c) for c in (ii, jj, kk)]
         for mode, c, dim in zip(MODES, coords, self.dims):
             check_coords(mode, c, dim, IndexError)
-        ii, jj, kk = (c.astype(np.int64, copy=False) for c in coords)
-        out = np.empty(ii.size, dtype=np.float64)
-        for lo in range(0, ii.size, _CHUNK):
-            hi = min(lo + _CHUNK, ii.size)
-            ic, jc, kc = ii[lo:hi], jj[lo:hi], kk[lo:hi]
-            out[lo:hi] = (self.U[ic] * self.S[jc] * self.T[kc]).sum(axis=1)
-            out[lo:hi] += self.a[ic] + self.b[jc] + self.c[kc]
-        return out
+        return _predict(self.blocks, *(c.astype(np.int64, copy=False) for c in coords))
 
     def residual(self, entry):
         """Observed minus predicted value; sign preserved."""
@@ -126,6 +120,27 @@ class FactorModel:
 
     def __repr__(self):
         return f"FactorModel(dims={self.dims}, rank={self.rank})"
+
+
+def _predict(blocks, ii, jj, kk):
+    # The one prediction kernel, over (dim, R+1) blocks: chunk by chunk, it
+    # gathers through 1-D column views, so no (n, R) array is formed. It sums
+    # U0*S0*T0, then each later column's product in turn, then a, b and c:
+    # ((cp + a) + b) + c. The order within an entry never depends on the chunk.
+    out = np.empty(ii.size)
+    rank = blocks[0].shape[1] - 1
+    for lo in range(0, ii.size, _CHUNK):
+        at = (ii[lo : lo + _CHUNK], jj[lo : lo + _CHUNK], kk[lo : lo + _CHUNK])
+        acc = out[lo : lo + _CHUNK]
+        for r in range(rank):
+            u, s, t = (blk[:, r][x] for blk, x in zip(blocks, at))
+            term = np.multiply(u, s, out=u if r else acc)
+            term *= t
+            if r:
+                acc += term
+        for blk, x in zip(blocks, at):
+            acc += blk[:, rank][x]
+    return out
 
 
 def check_loss(loss, gamma):
@@ -150,7 +165,8 @@ def loss_sum(e, loss, gamma):
         # r = e/gamma: r^2 overflows past 1.3e154, and past 1e150 ln(1 + r^2) is 2 ln r
         big = np.abs(e) > 1e150 * gamma
         with np.errstate(over="ignore"):
-            t = np.log1p((e / gamma) ** 2)
+            t = np.divide(e, gamma)
+            np.log1p(np.square(t, out=t), out=t)
         t[big] = 2 * (np.log(np.abs(e[big])) - np.log(gamma))
         return float(t.sum())
     return float((e * e).sum())
@@ -159,7 +175,8 @@ def loss_sum(e, loss, gamma):
 def objective(model, tensor, loss="cauchy", gamma=1.0):
     """Total loss (:func:`loss_sum`) of the model over the observed entries."""
     ii, jj, kk, yy = entry_arrays(tensor)
-    return loss_sum(yy - model.predict_entries(ii, jj, kk), loss, gamma)
+    e = model.predict_entries(ii, jj, kk)
+    return loss_sum(np.subtract(yy, e, out=e), loss, gamma)
 
 
 def save_model(model, path):

@@ -1,13 +1,21 @@
 import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lftk.admm
+import lftk.model
 
 from lftk import (
     AdmmState,
     DivergenceError,
     FactorModel,
+    SparseTensor,
     SynthSpec,
     TrainConfig,
     build_tensor,
@@ -17,6 +25,7 @@ from lftk import (
     mae,
     objective,
     project_nonnegative,
+    save_model,
     split,
     synthesize,
     train,
@@ -26,6 +35,7 @@ from lftk import (
     update_multipliers,
 )
 from lftk.evaluation import SplitSpec
+from lftk.model import LOSS_MODES
 from lftk.tensor import MODES
 from oracles import PlainState, frozen_subproblem, golden_section, grid_min
 
@@ -656,3 +666,52 @@ def test_augmentation_constants_reject_non_finite_lambda(lam):
     t = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
     with pytest.raises(ValueError, match="lambda"):
         compute_augmentation_constants(t, lam)
+
+
+# ------------------------------------------------------ chunking and memory
+
+
+@given(seed=st.integers(0, 2**32 - 1), loss=st.sampled_from(LOSS_MODES), rank=st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_training_does_not_depend_on_chunk_size(seed, loss, rank):
+    # the sweeps and the prediction kernel walk entries in chunks; models,
+    # reports and logs must come out the same bytes whatever the chunk size
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 7, 3))
+    cells = rng.permutation(math.prod(dims))[: int(rng.integers(1, math.prod(dims) + 1))]
+    ii, jj, kk = np.unravel_index(np.sort(cells), dims)
+    y = rng.uniform(0, 5, cells.size) * np.where(rng.random(cells.size) < 0.1, 10.0, 1.0)
+    t = SparseTensor.from_arrays(dims, ii, jj, kk, y)
+    config = TrainConfig(rank=rank, loss=loss, max_epochs=4, patience=4, seed=seed % 997)
+
+    def run(chunk):
+        log, model_text = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lftk.admm, "_SWEEP_CHUNK", chunk)
+            mp.setattr(lftk.model, "_CHUNK", chunk)
+            model, report = train(t, t, config, log=log)
+        save_model(model, model_text)
+        return model_text.getvalue(), json.dumps(report.summary()), log.getvalue()
+
+    first = run(1)
+    for chunk in (3, 32768, t.n_entries):
+        assert run(chunk) == first
+
+
+def test_train_epoch_peak_memory_per_entry():
+    # the sweeps hold yhat and one coefficient per entry (16 B) plus
+    # cache-sized chunks, and free both before the objective runs
+    obs, _, _ = synthesize(
+        SynthSpec(dims=(100, 200, 40), rank=3, density=0.25, noise_std=0.05, seed=1)
+    )
+    assert obs.n_entries == 200_000
+    model = FactorModel.initialize(obs.dims, 5, seed=0)
+    state, config = make_state(model, obs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_epoch(state, model, obs, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * obs.n_entries

@@ -1,11 +1,14 @@
 import json
+import math
+import os
+import stat
 import warnings
 from dataclasses import MISSING, fields
 
 import pytest
 
 from lftk import SynthSpec, TrainConfig
-from lftk.cli import build_parser, main
+from lftk.cli import _write_json, build_parser, main
 
 
 def run(argv, capsys):
@@ -448,3 +451,46 @@ def test_train_divergence_names_group_and_reason(tmp_path, capsys):
     report = json.loads((tmp_path / "d.model.report.json").read_text())
     assert report["diverged"] is True and report["divergence"] == cause
     assert f"diverged in {cause['group']} ({cause['reason']})" in err
+
+
+# ------------------------------------------------------------ atomic outputs
+
+
+def test_refused_report_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "run.report.json"
+    _write_json(path, {"best_val_mae": 0.5})
+    before = path.read_bytes()
+    # json refuses the NaN only after streaming everything before it
+    with pytest.raises(ValueError):
+        _write_json(path, {"epochs": list(range(5000)), "best_val_mae": math.nan})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.report.json"]
+
+
+def test_output_through_a_symlink_replaces_its_target_and_keeps_the_mode(tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link.symlink_to(real)
+    _write_json(link, {"a": 1})
+    assert link.is_symlink()
+    assert json.loads(real.read_text()) == {"a": 1}
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+
+def test_unwritable_output_names_the_requested_path(tmp_path):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    with pytest.raises(FileNotFoundError) as info:
+        _write_json(missing, {})
+    assert info.value.filename == str(missing)
+    with pytest.raises(IsADirectoryError):
+        _write_json(tmp_path, {})
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_path_may_be_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    _write_json(os.fsencode(path), {"a": 1})
+    assert json.loads(path.read_text()) == {"a": 1}
+    assert os.listdir(tmp_path) == ["out.json"]

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,25 @@ def test_write_rows_matches_per_row_formatting(n_rows, sep, kinds, ints, floats,
     for row, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
         assert g == w, f"row {row}"
     assert len(got) == len(want)
+
+
+def test_base1_coordinates_are_shifted_block_by_block(tmp_path):
+    # three shifted int64 copies of the coordinates would add 24 B per entry
+    # (768 kB here); shifting one row block at a time costs 3 x 32 kB
+    obs, _, _ = synthesize(SynthSpec(dims=(40, 40, 40), rank=2, density=0.5, seed=4))
+    peaks, texts = {}, {}
+    for base in (0, 1):
+        path = tmp_path / f"base{base}.txt"
+        tracemalloc.start()
+        try:
+            write_records(obs, path, RecordFormat(index_base=base))
+            peaks[base] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        texts[base] = path.read_text()
+    assert peaks[1] <= peaks[0] + 4 * 8 * _ROW_BLOCK
+    shifted = "".join(
+        " ".join([str(int(f) + 1) for f in fields[:3]] + fields[3:]) + "\n"
+        for fields in (line.split() for line in texts[0].splitlines())
+    )
+    assert texts[1] == shifted

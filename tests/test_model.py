@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lftk.model
-from lftk import FactorModel, build_tensor, load_model, objective, save_model
+from lftk import (
+    AdmmState,
+    FactorModel,
+    TrainConfig,
+    build_tensor,
+    load_model,
+    objective,
+    save_model,
+)
 from lftk.model import loss_sum
 from oracles import brute_objective
 
@@ -74,18 +83,41 @@ def test_predict_equals_predict_entries_bit_for_bit():
     assert (single == batch).all()
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
-def test_predict_entries_does_not_depend_on_chunk_size(monkeypatch, chunk):
-    rng = np.random.default_rng(11)
-    dims = (7, 6, 5)
-    m = FactorModel(
-        *(rng.uniform(0.0, 2.0, (d, 4)) for d in dims),
+def _random_model(seed, dims, rank):
+    rng = np.random.default_rng(seed)
+    return FactorModel(
+        *(rng.uniform(0.0, 2.0, (d, rank)) for d in dims),
         *(rng.uniform(0.0, 1.0, d) for d in dims),
     )
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 18, 1 << 14, 209, 210])
+def test_predict_entries_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    # one kernel serves the model and the ADMM auxiliaries; 210 is all 210 cells
+    dims = (7, 6, 5)
+    m = _random_model(11, dims, 4)
+    t = build_tensor(dims, [(i, j, k, 1.0) for i in range(7) for j in range(6) for k in range(5)])
+    state = AdmmState.initialize(m, t, TrainConfig(rank=4))
+    state.aux_u[:] = _random_model(12, dims, 4).U
     ii, jj, kk = (c.ravel() for c in np.indices(dims))
-    whole = m.predict_entries(ii, jj, kk)
+    whole, aux_whole = m.predict_entries(ii, jj, kk), state.aux_prediction(t)
     monkeypatch.setattr(lftk.model, "_CHUNK", chunk)
     assert m.predict_entries(ii, jj, kk).tobytes() == whole.tobytes()
+    assert state.aux_prediction(t).tobytes() == aux_whole.tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 5, 8, 13])
+def test_prediction_sums_columns_in_order_then_biases(rank):
+    # the documented order: U0*S0*T0, then + Ur*Sr*Tr for r = 1..R-1, then
+    # + a, + b, + c; numpy's own row sum pairs terms differently from rank 8
+    dims = (9, 8, 7)
+    m = _random_model(rank, dims, rank)
+    ii, jj, kk = (c.ravel() for c in np.indices(dims))
+    cp = m.U[ii, 0] * m.S[jj, 0] * m.T[kk, 0]
+    for r in range(1, rank):
+        cp = cp + m.U[ii, r] * m.S[jj, r] * m.T[kk, r]
+    expected = ((cp + m.a[ii]) + m.b[jj]) + m.c[kk]
+    assert m.predict_entries(ii, jj, kk).tobytes() == expected.tobytes()
 
 
 def test_cauchy_loss_stays_finite_for_huge_residuals():
@@ -233,3 +265,19 @@ def test_predict_rejects_non_integral_coordinates(bad):
     with pytest.raises(ValueError, match="service index"):
         m.predict_entries([0], [bad], [0])
     assert m.predict(1.0, 0.0, 1.0) == m.predict(1, 0, 1)
+
+
+def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
+    path = tmp_path / "m.model"
+    save_model(rank2_model(), path)
+    before = path.read_bytes()
+
+    def fail_midway(fh, columns, *args):
+        fh.write("0.5\n" * 5000)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(lftk.model, "write_rows", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(_random_model(1, (4, 3, 2), 2), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.model"]
