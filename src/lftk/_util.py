@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import os
 import stat
+import warnings
 
 import numpy as np
 
@@ -19,21 +20,53 @@ def fmt_real(x):
     return np.format_float_positional(float(x), unique=True, trim="-")
 
 
+def _float_strs(block):
+    # repr is fmt_real's string wherever repr is positional (0 and
+    # 1e-4 <= |x| < 1e16), once integral values drop their ".0"; the rest
+    # (exponent forms, inf, nan) goes through fmt_real itself.
+    block = block.astype(np.float64, copy=False)  # fmt_real formats float(x)
+    strs = list(map(repr, block.tolist()))
+    mag = np.abs(block)
+    positional = (mag < 1e16) & ((mag >= 1e-4) | (mag == 0))
+    for p in np.flatnonzero(~positional).tolist():
+        strs[p] = fmt_real(block[p])
+    for p in np.flatnonzero(positional & (block == np.trunc(block))).tolist():
+        strs[p] = strs[p][:-2]
+    return strs
+
+
 def write_rows(fh, columns, sep=" ", base=0):
-    """One line per row of equal-length columns: ints via ``str``, floats via fmt_real.
+    """One line per row of equal-length columns: ints via ``str``, floats as fmt_real.
 
     ``base`` is added to the first three columns, a record's coordinates.
     Rows become Python objects a block at a time, never a whole column at once,
     and the shift is made block by block too.
     """
     columns = [np.asarray(c) for c in columns]
-    fmts = [fmt_real if c.dtype.kind == "f" else str for c in columns]
     for lo in range(0, len(columns[0]), _ROW_BLOCK):
         blocks = [c[lo : lo + _ROW_BLOCK] for c in columns]
         if base:
             blocks[:3] = (b + base for b in blocks[:3])
-        cells = [map(f, b.tolist()) for f, b in zip(fmts, blocks)]
-        fh.writelines(sep.join(row) + "\n" for row in zip(*cells))
+        cells = [_float_strs(b) if b.dtype.kind == "f" else map(str, b.tolist())
+                 for b in blocks]
+        fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
+
+
+def loadtxt_or_none(lines, dtype, delimiter=None, ndmin=1):
+    """``np.loadtxt`` over text lines, or None where it rejects them.
+
+    No comment handling: a ``#`` anywhere is a parse error, so callers fall
+    back to their per-line reader, which owns comments and error messages.
+    Any warning counts as a rejection (numpy 1.x only warns when it reads
+    ``1.0`` into an int column; empty input warns), so none reaches stderr.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=ndmin)
+    except (ValueError, OverflowError, Warning):
+        return None
 
 
 def _is_path(obj):

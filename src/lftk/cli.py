@@ -201,9 +201,13 @@ def cmd_eval(args):
         raise DataFormatError("no records found in the test file")
     print(f"mae {fmt_real(mae(model, tensor))}")
     if args.mask:
-        flagged = load_outlier_mask(args.mask)
-        keep = [p for p, cell in enumerate(zip(*tensor.idx.tolist())) if cell not in flagged]
-        if not keep:
+        # a triple outside the model's dims would alias a real cell once raveled
+        inside = [t for t in load_outlier_mask(args.mask)
+                  if all(0 <= v < d for v, d in zip(t, model.dims))]
+        flagged = np.ravel_multi_index(np.array(inside, dtype=np.int64).reshape(-1, 3).T,
+                                       model.dims)
+        keep = np.flatnonzero(~np.isin(np.ravel_multi_index(tensor.idx, model.dims), flagged))
+        if not keep.size:
             raise DataFormatError("outlier mask flags every test entry; clean MAE undefined")
         clean = tensor.take(keep)
         print(f"clean_mae {fmt_real(mae(model, clean))}")

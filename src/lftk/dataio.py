@@ -7,6 +7,7 @@ index base (0 or 1) are configurable so externally published QoS logs can
 be ingested as-is.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _is_path, _open_sink, fmt_real, write_rows
+from ._util import _is_path, _open_sink, fmt_real, loadtxt_or_none, write_rows
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
@@ -39,22 +40,24 @@ class RecordFormat:
         return "," if self.delimiter == "comma" else " "
 
 
-def _text_lines(source):
+_RECORD_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("y", np.float64)])
+
+
+@contextlib.contextmanager
+def _text_stream(source):
     if _is_path(source):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-        return
-    if isinstance(source, io.TextIOBase):
-        yield from source
-        return
-    # binary stream
-    yield from io.TextIOWrapper(source, encoding="utf-8")
+            yield fh
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:  # binary stream
+        yield io.TextIOWrapper(source, encoding="utf-8")
 
 
-def _record_lines(source, sep, n_fields):
+def _record_lines(lines, sep, n_fields):
     # (line number, fields) of every record line; blank and "#" lines are
     # skipped, and a line with the wrong field count is rejected.
-    for lineno, raw in enumerate(_text_lines(source), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,19 +69,11 @@ def _record_lines(source, sep, n_fields):
         yield lineno, fields
 
 
-def load_records(source, fmt=RecordFormat(), dims=None):
-    """Parse a record stream into a :class:`SparseTensor`.
-
-    ``source`` may be a file path or an open text/byte stream. When
-    ``dims`` is omitted, each dimension is inferred as the largest index
-    seen plus one (published dataset descriptions and actual index ranges
-    do not always agree, so the data wins). Malformed lines, negative
-    values, and out-of-base indices are rejected with their line number;
-    duplicate coordinates are rejected when the tensor is built.
-    """
+def _parse_records(lines, fmt):
+    # The reference parser, one line at a time: every error names its line.
     base = fmt.index_base
     ii, jj, kk, yy = [], [], [], []
-    for lineno, fields in _record_lines(source, fmt.sep, 4):
+    for lineno, fields in _record_lines(lines, fmt.sep, 4):
         try:
             i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
             y = float(fields[3])
@@ -96,10 +91,65 @@ def load_records(source, fmt=RecordFormat(), dims=None):
         jj.append(j - base)
         kk.append(k - base)
         yy.append(y)
+    return ii, jj, kk, yy
+
+
+def _bulk_records(lines, fmt):
+    # The whole stream in one np.loadtxt call, or None wherever _parse_records
+    # might disagree or would raise: a "#" line, a parse error, a failed check
+    # or no records at all. What it accepts, _parse_records builds bit for bit.
+    rec = loadtxt_or_none(lines, _RECORD_DTYPE, None if fmt.sep == " " else fmt.sep)
+    if rec is None or not rec.size:
+        return None
+    ii, jj, kk, yy = (rec[f] for f in _RECORD_DTYPE.names)
+    base = fmt.index_base
+    if min(ii.min(), jj.min(), kk.min()) < base or not np.isfinite(yy).all() or yy.min() < 0:
+        return None
+    if base:
+        for c in (ii, jj, kk):
+            c -= base
+    return ii, jj, kk, yy
+
+
+def _rewindable(fh):
+    # (lines, position to seek back to); a stream that cannot seek is read
+    # into a list of its lines, so either parser can read it.
+    try:
+        if fh.seekable():
+            return fh, fh.tell()
+    except OSError:  # tell() after a caller's next()
+        pass
+    return fh.readlines(), None
+
+
+def load_records(source, fmt=RecordFormat(), dims=None):
+    """Parse a record stream into a :class:`SparseTensor`.
+
+    ``source`` may be a file path or an open text/byte stream. When
+    ``dims`` is omitted, each dimension is inferred as the largest index
+    seen plus one (published dataset descriptions and actual index ranges
+    do not always agree, so the data wins). Malformed lines, negative
+    values, and out-of-base indices are rejected with their line number;
+    duplicate coordinates are rejected when the tensor is built.
+
+    The whole stream is parsed by numpy in one call; a stream it does not
+    accept (comment lines included) is parsed again line by line, which
+    gives the same tensor or the line-numbered error.
+    """
+    with _text_stream(source) as fh:
+        lines, start = _rewindable(fh)
+        columns = _bulk_records(lines, fmt)
+        if columns is None:
+            if start is not None:
+                lines.seek(start)
+            columns = _parse_records(lines, fmt)
+    ii, jj, kk, yy = columns
     if dims is None:
-        if not ii:
+        if not len(yy):
             raise DataFormatError("no records found and no dims given")
-        dims = (max(ii) + 1, max(jj) + 1, max(kk) + 1)
+        # the line parser's lists hold Python ints of any size: max, not np.max
+        dims = tuple((max(c) if isinstance(c, list) else int(c.max())) + 1
+                     for c in (ii, jj, kk))
     try:
         return SparseTensor.from_arrays(dims, ii, jj, kk, yy)
     except ValueError as exc:
@@ -209,11 +259,12 @@ def write_outlier_mask(tensor, mask, sink):
 def load_outlier_mask(source):
     """Read flagged coordinates back as a set of (i, j, k) triples."""
     triples = set()
-    for lineno, fields in _record_lines(source, " ", 3):
-        try:
-            triples.add(tuple(int(f) for f in fields))
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: non-integer field") from None
+    with _text_stream(source) as fh:
+        for lineno, fields in _record_lines(fh, " ", 3):
+            try:
+                triples.add(tuple(int(f) for f in fields))
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: non-integer field") from None
     return triples
 
 

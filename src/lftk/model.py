@@ -12,7 +12,7 @@ versioned ``lft-model v1`` text format.
 
 import numpy as np
 
-from ._util import _open_sink, write_rows
+from ._util import _open_sink, loadtxt_or_none, write_rows
 from .errors import DataFormatError
 from .tensor import MODES, check_coords, entry_arrays
 
@@ -195,8 +195,32 @@ def save_model(model, path):
             write_rows(fh, arr.reshape(len(arr), -1).T)
 
 
+def _parse_block(lines, pos, n_rows, n_cols, name):
+    # The reference parser of one block, row by row: every error names its line.
+    rows = []
+    for off in range(n_rows):
+        fields = lines[pos + off].split()
+        if len(fields) != n_cols:
+            raise DataFormatError(
+                f"line {pos + off + 1}: expected {n_cols} fields in block {name!r},"
+                f" got {len(fields)}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise DataFormatError(
+                f"line {pos + off + 1}: non-numeric field in block {name!r}"
+            ) from None
+    return np.asarray(rows, dtype=np.float64)
+
+
 def load_model(path):
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    Each block is parsed by numpy in one call; a block it does not accept is
+    parsed again row by row, which gives the same values or the line-numbered
+    error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -223,22 +247,10 @@ def load_model(path):
         pos += 1
         if pos + n_rows > len(lines):
             raise DataFormatError(f"block {name!r} is truncated")
-        rows = []
-        for off in range(n_rows):
-            fields = lines[pos + off].split()
-            if len(fields) != n_cols:
-                raise DataFormatError(
-                    f"line {pos + off + 1}: expected {n_cols} fields in block {name!r},"
-                    f" got {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise DataFormatError(
-                    f"line {pos + off + 1}: non-numeric field in block {name!r}"
-                ) from None
+        arr = loadtxt_or_none(lines[pos : pos + n_rows], np.float64, ndmin=2)
+        if arr is None or arr.shape != (n_rows, n_cols):
+            arr = _parse_block(lines, pos, n_rows, n_cols, name)
         pos += n_rows
-        arr = np.asarray(rows, dtype=np.float64)
         blocks[name] = arr if name in ("U", "S", "T") else arr[:, 0]
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise DataFormatError(f"unexpected trailing content at line {pos + 1}")

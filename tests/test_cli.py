@@ -289,6 +289,31 @@ def test_eval_clean_mae_excludes_flagged(tmp_path, capsys):
     assert lines[1] == "clean_mae 0"
 
 
+def test_eval_mask_triples_outside_the_model_flag_nothing(tmp_path, capsys):
+    from lftk import FactorModel, save_model
+
+    model_path = tmp_path / "m.model"
+    save_model(
+        FactorModel(U=[[1.0]], S=[[1.0], [1.0]], T=[[1.0], [1.0]],
+                    a=[0.0], b=[0.0, 0.0], c=[0.0, 0.0]),
+        model_path,
+    )  # dims (1, 2, 2): cell (0, 0, 2) would ravel to 2, the cell (0, 1, 0)
+    test_file = tmp_path / "t.txt"
+    test_file.write_text("0 0 0 1\n0 1 0 9\n0 1 1 2\n")
+    clean = []
+    for mask in ("0 1 1\n", "0 1 1\n0 0 2\n0 0 -1\n1 0 0\n0 2 -4\n"):
+        mask_file = tmp_path / "mask.txt"
+        mask_file.write_text(mask)
+        code, stdout, _ = run(
+            ["eval", "--model", str(model_path), "--test", str(test_file),
+             "--mask", str(mask_file)],
+            capsys,
+        )
+        assert code == 0
+        clean.append(stdout.splitlines()[1])
+    assert clean == ["clean_mae 4", "clean_mae 4"]
+
+
 def test_malformed_input_exit_code_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 zero 1.0\n")

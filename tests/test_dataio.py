@@ -1,5 +1,8 @@
 import io
+import os
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from lftk import (
     DataFormatError,
+    dataio,
     FactorModel,
     RecordFormat,
     SynthSpec,
@@ -254,3 +258,190 @@ def test_base1_coordinates_are_shifted_block_by_block(tmp_path):
         for fields in (line.split() for line in texts[0].splitlines())
     )
     assert texts[1] == shifted
+
+
+def _load_line_by_line(source, fmt=RecordFormat(), dims=None):
+    # load_records with the bulk parse switched off: the reference path
+    with mock.patch.object(dataio, "_bulk_records", lambda lines, fmt: None):
+        return load_records(source, fmt, dims)
+
+
+def _outcome(load, source, fmt=RecordFormat(), dims=None):
+    try:
+        t = load(source, fmt, dims)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    # bit patterns, so -0.0 and 0.0 differ
+    return t.dims, t.idx.dtype, t.idx.tolist(), t.y.dtype, t.y.view(np.int64).tolist()
+
+
+_VALUE_SPELLINGS = [repr, "{:e}".format, "{:.17E}".format, "{:.20f}".format]
+
+
+@st.composite
+def _record_files(draw):
+    delimiter = draw(st.sampled_from(["whitespace", "comma"]))
+    base = draw(st.sampled_from([0, 1]))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=30, unique=True))
+    values = st.one_of(
+        st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1.0, 2.0**53, 1e16, 1e-4]),
+    )
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = []
+    for cell in cells:
+        while draw(st.integers(0, 5)) == 0:  # blank and comment lines between records
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "# note", "  # 1 2 3 4"])))
+        fields = [str(c + base) for c in cell]
+        fields.append(draw(st.sampled_from(_VALUE_SPELLINGS))(draw(values)))
+        if delimiter == "comma":
+            line = ",".join(draw(pad) + f + draw(pad) for f in fields)
+        else:
+            line = draw(pad) + "".join(f + draw(st.sampled_from([" ", "\t", " \t "]))
+                                       for f in fields).rstrip()
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return RecordFormat(delimiter, base), "".join(map(str.__add__, lines, ends))
+
+
+@given(case=_record_files(), as_bytes=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_bulk_parse_builds_the_line_parsers_tensor_bit_for_bit(case, as_bytes):
+    fmt, text = case
+
+    def source():
+        return io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+
+    want = _outcome(_load_line_by_line, source(), fmt)
+    assert _outcome(load_records, source(), fmt) == want
+    lines = text.splitlines()
+    if lines and not any(
+        line.strip().startswith("#") or (fmt.delimiter == "comma" and line.isspace())
+        for line in lines
+    ):  # nothing here makes the bulk parse decline, so it must have built the tensor
+        assert want[0] != "error"
+        assert dataio._bulk_records(io.StringIO(text), fmt) is not None
+
+
+_W, _C1 = RecordFormat(), RecordFormat("comma", 1)
+
+
+@pytest.mark.parametrize("text, fmt, dims, message", [
+    ("0 0 0 1\n\n1e3 0 0 1\n", _W, None, "line 3: non-numeric field"),
+    ("0 0 0 1\n\n1.0 0 0 1\n", _W, None, "line 3: non-numeric field"),
+    ("0 0 0 1\n\n0 0 1 2 # note\n", _W, None, "line 3: expected 4 fields, got 6"),
+    ("0 0 0 1\n\n0 0 1 nan\n", _W, None, "line 3: value is not finite"),
+    ("0 0 0 1\n\n0 0 1 inf\n", _W, None, "line 3: value is not finite"),
+    ("0 0 0 1\n\n0 0 1 1e400\n", _W, None, "line 3: value is not finite"),
+    ("0 0 0 1\n\n0 0 1 -2.5\n", _W, None, "line 3: negative value -2.5"),
+    ("1,1,1,1\n\n1,0,1,2\n", _C1, None, "line 3: index below base 1: (1, 0, 1)"),
+    ("0 0 0 1\n\n0 0 1\n", _W, None, "line 3: expected 4 fields, got 3"),
+    ("0 0 0 1\n\n0 0 1 x\n", _W, None, "line 3: non-numeric field"),
+    ("0 0 0 1\n\n0 0 0 2\n", _W, None, "duplicate entry at (0, 0, 0)"),
+    ("0 0 0 1\n\n0 5 0 2\n", _W, (1, 2, 1), "service index 5 out of range for dimension 2"),
+    ("", _W, None, "no records found and no dims given"),
+    ("# only a comment\n\n", _W, None, "no records found and no dims given"),
+])
+def test_hostile_record_lines_keep_their_messages(text, fmt, dims, message):
+    with pytest.raises(DataFormatError) as exc:
+        load_records(io.StringIO(text), fmt, dims)
+    assert str(exc.value) == message
+
+
+def test_underscored_coordinate_is_read_as_python_reads_it():
+    # int("1_0") == 10: numpy declines the spelling, the line parser keeps it
+    t = load_records(io.StringIO("0 0 0 1\n\n1_0 0 0 1\n"))
+    assert t.dims == (11, 1, 1)
+    assert t.entries() == [(0, 0, 0, 1.0), (10, 0, 0, 1.0)]
+
+
+def test_empty_input_with_dims_is_an_empty_tensor():
+    t = load_records(io.StringIO(""), dims=(1, 2, 1))
+    assert (t.dims, t.n_entries) == ((1, 2, 1), 0)
+
+
+def test_a_warning_from_the_bulk_parse_falls_back_silently(monkeypatch):
+    real = np.loadtxt
+
+    def warns(*args, **kwargs):  # numpy 1.24-1.26 warn when "1.0" fills an int column
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning, stacklevel=2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warns)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t = load_records(io.StringIO("0 0 0 1.5\n1 0 0 2\n"))
+    assert caught == []
+    assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 0, 2.0)]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# comment\n", "# a\n\n# b\n"])
+def test_empty_and_comment_only_files_print_no_warning(tmp_path, capfd, text):
+    path = tmp_path / "r.txt"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_records(path, dims=(1, 1, 1)).n_entries == 0
+        with pytest.raises(DataFormatError, match="no records"):
+            load_records(path)
+    assert caught == []
+    assert capfd.readouterr() == ("", "")
+
+
+def _positional_neighbours():
+    edges = [1e-4, 1e16]
+    return [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+)
+@settings(max_examples=30, deadline=None)
+def test_write_rows_formats_floats_as_fmt_real(seed, extra):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    values = np.concatenate([
+        _positional_neighbours(),
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf],
+        rng.uniform(0, 1, 50) * 5e-324 * 2**52,  # subnormals
+        np.floor(rng.uniform(0, 2.0**53, 200)),  # integral, every one exact
+        2.0 ** rng.integers(0, 54, 50),
+        np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-20, 20, n),
+        extra,
+    ])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    buf = io.StringIO()
+    write_rows(buf, [values])
+    assert buf.getvalue().splitlines() == [fmt_real(v) for v in values]
+
+
+def test_load_records_peak_memory_per_record(tmp_path):
+    # Python objects per parsed record cost 146.7 B each at the peak; one
+    # (i8, i8, i8, f8) record array plus the tensor's own copies is about 89 B
+    dims = (100, 100, 20)
+    ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
+    y = np.random.default_rng(0).uniform(0, 5, ii.size)
+    path = tmp_path / "r.txt"
+    with path.open("w") as fh:
+        write_rows(fh, (ii, jj, kk, y))
+    tracemalloc.start()
+    try:
+        t = load_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n_entries == ii.size == 200_000
+    assert peak / t.n_entries <= 100
+
+
+def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
+    for text in ("0 0 0 1.5\n1 0 2 2\n", "# header\n0 0 0 1.5\n1 0 2 2\n"):
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        with os.fdopen(r, "r", encoding="utf-8") as pipe:
+            assert not pipe.seekable()
+            t = load_records(pipe)
+        assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0)]

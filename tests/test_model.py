@@ -281,3 +281,46 @@ def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
         save_model(_random_model(1, (4, 3, 2), 2), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.model"]
+
+
+_MODEL_TEXT = "lft-model v1 2 2 1 1\nU\n0.5 1\n2 0.25\nS\n1 1\nT\n1e-7 3\na\n0\n0.5\nb\n1\nc\n0\n"
+
+
+def test_load_model_parses_each_block_in_one_call(tmp_path, monkeypatch):
+    from lftk import model as model_module
+
+    p = tmp_path / "m.model"
+    p.write_text(_MODEL_TEXT)
+    monkeypatch.setattr(model_module, "_parse_block", None)  # the row parser is not needed
+    m = load_model(p)
+    assert m.U.tolist() == [[0.5, 1.0], [2.0, 0.25]]
+    assert m.T.tolist() == [[1e-7, 3.0]]
+    assert m.a.tolist() == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("2 0.25\n", "2 x\n", "line 4: non-numeric field in block 'U'"),
+    ("2 0.25\n", "2\n", "line 4: expected 2 fields in block 'U', got 1"),
+    ("2 0.25\n", "\n", "line 4: expected 2 fields in block 'U', got 0"),
+    ("2 0.25\n", "2 0.25 # c\n", "line 4: expected 2 fields in block 'U', got 4"),
+    ("1e-7 3\n", "1e-7 3 4\n", "line 8: expected 2 fields in block 'T', got 3"),
+    ("a\n0\n0.5\n", "a\n0\nb\n", "line 11: non-numeric field in block 'a'"),
+    ("1e-7 3\n", "nan 3\n", "T contains non-finite values"),
+    ("1e-7 3\n", "-inf 3\n", "T contains non-finite values"),
+    ("c\n0\n", "c\n", "block 'c' is truncated"),
+])
+def test_load_model_errors_keep_their_line_numbers(tmp_path, old, new, message):
+    from lftk import DataFormatError
+
+    p = tmp_path / "bad.model"
+    p.write_text(_MODEL_TEXT.replace(old, new, 1))
+    with pytest.raises(DataFormatError) as exc:
+        load_model(p)
+    assert str(exc.value) == message
+
+
+def test_load_model_reads_what_float_reads(tmp_path):
+    # numpy declines "1_0" and padded lines of a block; the row parser reads them
+    p = tmp_path / "m.model"
+    p.write_text(_MODEL_TEXT.replace("2 0.25\n", "  1_0\t0.25 \n", 1))
+    assert load_model(p).U.tolist() == [[0.5, 1.0], [10.0, 0.25]]
