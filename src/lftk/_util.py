@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 1024
 
 
 def fmt_real(x):

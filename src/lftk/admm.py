@@ -27,10 +27,10 @@ Within one phase (one column of one mode), rows of the same mode touch
 disjoint entry sets, so updating them in ascending index order is
 identical to updating them simultaneously; the sweeps below exploit this
 with vectorized per-phase updates. Each sweep walks the entries in
-cache-sized chunks through reused buffers and sums each entity's terms with
-``np.add.at``, which adds in entry order exactly as one ``np.bincount`` over
-all entries would, so results do not depend on the chunk size. This single
-deterministic partition is recorded in the training report.
+cache-sized chunks through reused buffers; ``np.bincount`` (first chunk) and
+``np.add.at`` (the rest) sum each entity's terms in entry order, exactly as
+one ``np.bincount`` over all entries would, so results do not depend on the
+chunk size. This single deterministic partition is recorded in the report.
 """
 
 import math
@@ -147,6 +147,7 @@ class AdmmState:
         (self.phi, self.rho, self.psi,
          self.chi, self.vphi, self.sigma) = block_views(self.mult)
         self.constants = constants
+        self.active = tuple(c > 0 for c in (constants.tau, constants.nu, constants.omega))
         self.gamma = gamma
         self.loss = loss
 
@@ -173,11 +174,8 @@ class AdmmState:
 
     def max_primal_residual(self, model):
         """Largest gap |aux - primal| over every parameter."""
-        gap = 0.0
-        for _, aux, prim, _, _ in self.groups(model):
-            if aux.size:
-                gap = max(gap, float(np.abs(aux - prim).max()))
-        return gap
+        return max([0.0] + [float(np.abs(aux - prim).max())
+                            for aux, prim in zip(self.aux, model.blocks) if aux.size])
 
 
 def _column_coef(state, idx, axis, col, out=None):
@@ -238,12 +236,10 @@ def project_nonnegative(state, model):
     Entities with zero constants are left untouched; afterwards every model
     element is >= 0. Returns the model (mutated in place).
     """
-    for _, aux, prim, mult, const in state.groups(model):
-        active = const > 0
+    for (_, aux, prim, mult, const), active in zip(state.groups(model), state.active):
         shift = np.zeros_like(aux)
         np.divide(mult, const[:, None], out=shift, where=active[:, None])
-        candidate = np.maximum(0.0, aux + shift)
-        prim[active] = candidate[active]
+        np.copyto(prim, np.maximum(0.0, aux + shift), where=active[:, None])
     return model
 
 
@@ -266,8 +262,7 @@ def lagrangian_value(state, model, tensor, config):
     """
     e = tensor.y - state.aux_prediction(tensor)
     value = 0.5 * loss_sum(e, config.loss, config.gamma)
-    for _, aux, prim, mult, const in state.groups(model):
-        active = const > 0
+    for (_, aux, prim, mult, const), active in zip(state.groups(model), state.active):
         c = const[active][:, None]
         gap = aux[active] - prim[active] + mult[active] / c
         value += 0.5 * float((c * gap * gap).sum())
@@ -275,41 +270,48 @@ def lagrangian_value(state, model, tensor, config):
     return value
 
 
-def _sweep_column(state, model, tensor, axis, col, yhat, coef):
-    # One auxiliary column for every entity of the mode at once, chunk by
-    # chunk; `coef` keeps a factor column's coefficients for the yhat update.
-    _, aux, prim, mult, const = state.groups(model)[axis]
+def _sweep_column(state, group, tensor, axis, col, yhat, coef, prev):
+    # One auxiliary column for every entity of the mode at once, chunk by chunk;
+    # each chunk first takes the yhat update of `prev`, the last column's
+    # (step, own, factor), with the coefficients `coef` still holds.
+    _, aux, prim, mult, const = group
+    step, moved, scaled = prev or (None, None, False)
     idx, y, own, old = tensor.idx, tensor.y, tensor.idx[axis], aux[:, col]
-    num, den, buf = np.zeros(len(old)), np.zeros(len(old)), np.empty(min(_SWEEP_CHUNK, y.size))
+    num, den = np.zeros(len(old)), np.zeros(len(old))  # for an empty tensor
+    buf, factor = np.empty(min(_SWEEP_CHUNK, y.size)), col < state.rank
     for lo in range(0, y.size, _SWEEP_CHUNK):
         at, wc = slice(lo, lo + _SWEEP_CHUNK), buf[: min(_SWEEP_CHUNK, y.size - lo)]
+        if step is not None:
+            yhat[at] += step[moved[at]] * coef[at] if scaled else step[moved[at]]
         if state.loss == "l2":
             wc.fill(1.0)
         else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
             np.square(np.subtract(y[at], yhat[at], out=wc), out=wc)
             np.divide(1.0, np.add(wc, state.gamma * state.gamma, out=wc), out=wc)
-        c = _column_coef(state, idx[:, at], axis, col, out=coef[at])  # 1.0 for a bias
-        wc *= c
         term = old[own[at]]
-        term *= c
+        if factor:  # a bias column's coefficient is 1: nothing to multiply
+            c = _column_coef(state, idx[:, at], axis, col, out=coef[at])
+            wc *= c
+            term *= c
         term = np.subtract(y[at], np.subtract(yhat[at], term, out=term), out=term)
-        np.add.at(num, own[at], np.multiply(wc, term, out=term))
-        np.add.at(den, own[at], np.multiply(wc, c, out=wc))
+        parts = (np.multiply(wc, term, out=term), np.multiply(wc, c, out=wc) if factor else wc)
+        if lo:
+            for acc, part in zip((num, den), parts):
+                np.add.at(acc, own[at], part)
+        else:  # from zero, bincount adds in entry order exactly as np.add.at does
+            num, den = (np.bincount(own[at], part, len(old)) for part in parts)
     num += const * prim[:, col] - mult[:, col]
     new = old.copy()
-    np.divide(num, const + den, out=new, where=tensor.slice_counts(MODES[axis]) > 0)
+    np.divide(num, const + den, out=new, where=state.active[axis])
     step = new - old
-    for lo in range(0, y.size, _SWEEP_CHUNK):
-        at = slice(lo, lo + _SWEEP_CHUNK)
-        yhat[at] += step[own[at]] * coef[at] if col < state.rank else step[own[at]]
     old[:] = new
+    return step, own, factor
 
 
 def _check_group(name, arr):
-    if not np.isfinite(arr).all():
-        raise DivergenceError(name, "non-finite value")
-    if arr.size and np.abs(arr).max() > DIVERGENCE_LIMIT:
-        raise DivergenceError(name, f"magnitude exceeds {DIVERGENCE_LIMIT:g}")
+    if arr.size and not np.abs(arr).max() <= DIVERGENCE_LIMIT:  # NaN and inf fail it too
+        raise DivergenceError(name, "non-finite value" if not np.isfinite(arr).all()
+                              else f"magnitude exceeds {DIVERGENCE_LIMIT:g}")
 
 
 def train_epoch(state, model, tensor, config):
@@ -322,17 +324,16 @@ def train_epoch(state, model, tensor, config):
     aux-primal gap. Raises :class:`DivergenceError` naming the variable
     group that first produced a non-finite or runaway value.
     """
-    yhat = state.aux_prediction(tensor)
-    coef = np.empty_like(yhat)
-    rank = model.rank
+    groups, yhat = state.groups(model), state.aux_prediction(tensor)
+    coef, rank, prev = np.empty_like(yhat), model.rank, None
     for axis, mode in enumerate(MODES):
         for col in range(rank):
-            _sweep_column(state, model, tensor, axis, col, yhat, coef)
+            prev = _sweep_column(state, groups[axis], tensor, axis, col, yhat, coef, prev)
         _check_group(f"auxiliary {mode} factors", state.aux[axis][:, :rank])
     for axis, mode in enumerate(MODES):
-        _sweep_column(state, model, tensor, axis, rank, yhat, coef)
+        prev = _sweep_column(state, groups[axis], tensor, axis, rank, yhat, coef, prev)
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
-    del yhat, coef  # freed before the objective allocates its own
+    del yhat, coef, prev  # freed before the objective allocates its own
     project_nonnegative(state, model)
     for name, arr in model.arrays():
         _check_group(f"projected {name}", arr)

@@ -9,6 +9,7 @@ be ingested as-is.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,8 +51,12 @@ def _text_stream(source):
             yield fh
     elif isinstance(source, io.TextIOBase):
         yield source
-    else:  # binary stream
-        yield io.TextIOWrapper(source, encoding="utf-8")
+    else:  # binary stream: detached at the end, so collecting it leaves source open
+        text = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield text
+        finally:
+            text.detach()
 
 
 def _record_lines(lines, sep, n_fields):
@@ -258,13 +263,19 @@ def write_outlier_mask(tensor, mask, sink):
 
 def load_outlier_mask(source):
     """Read flagged coordinates back as a set of (i, j, k) triples."""
-    triples = set()
     with _text_stream(source) as fh:
-        for lineno, fields in _record_lines(fh, " ", 3):
-            try:
-                triples.add(tuple(int(f) for f in fields))
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: non-integer field") from None
+        lines = list(fh)
+    # numpy parses all after the leading "#" lines; the line parser reruns on a rejection
+    body = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), lines)
+    arr = loadtxt_or_none(list(body), np.int64, ndmin=2)
+    if arr is not None and arr.shape[1:] == (3,):
+        return set(map(tuple, arr.tolist()))
+    triples = set()
+    for lineno, fields in _record_lines(lines, " ", 3):
+        try:
+            triples.add(tuple(int(f) for f in fields))
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: non-integer field") from None
     return triples
 
 

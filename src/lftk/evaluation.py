@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import entry_arrays
+from .model import _observed_and_predicted
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,9 @@ def mae(model, entries):
     entry set must be nonempty. Summation uses numpy's fixed pairwise
     reduction, so the result is deterministic for a given entry order.
     """
-    ii, jj, kk, yy = entry_arrays(entries)
+    yy, e = _observed_and_predicted(model, entries)
     if yy.size == 0:
         raise ValueError("cannot compute MAE over an empty entry set")
-    e = model.predict_entries(ii, jj, kk)
     return float(np.abs(np.subtract(yy, e, out=e), out=e).mean())
 
 

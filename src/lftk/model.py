@@ -14,7 +14,7 @@ import numpy as np
 
 from ._util import _open_sink, loadtxt_or_none, write_rows
 from .errors import DataFormatError
-from .tensor import MODES, check_coords, entry_arrays
+from .tensor import MODES, SparseTensor, check_coords, entry_arrays
 
 MODEL_HEADER = "lft-model v1"
 
@@ -101,7 +101,14 @@ class FactorModel:
         )
 
     def copy(self):
-        return FactorModel(self.U, self.S, self.T, self.a, self.b, self.c)
+        """Independent copy; a block failing its checks goes to ``__init__`` to name it."""
+        blocks = tuple(blk.copy() for blk in self.blocks)
+        if not all(not b.size or (b.min() >= 0 and b.max() < np.inf) for b in blocks):
+            return FactorModel(*block_views(blocks))
+        model = object.__new__(FactorModel)
+        model.blocks = blocks
+        model.U, model.S, model.T, model.a, model.b, model.c = block_views(blocks)
+        return model
 
     def predict(self, i, j, k):
         """Point prediction for cell (i, j, k); equals :meth:`predict_entries`."""
@@ -172,10 +179,17 @@ def loss_sum(e, loss, gamma):
     return float((e * e).sum())
 
 
+def _observed_and_predicted(model, entries):
+    # (y, predictions); a tensor of the model's dims already checked its coordinates
+    if isinstance(entries, SparseTensor) and entries.dims == model.dims:
+        return entries.y, _predict(model.blocks, *entries.idx)
+    *coords, yy = entry_arrays(entries)
+    return yy, model.predict_entries(*coords)
+
+
 def objective(model, tensor, loss="cauchy", gamma=1.0):
     """Total loss (:func:`loss_sum`) of the model over the observed entries."""
-    ii, jj, kk, yy = entry_arrays(tensor)
-    e = model.predict_entries(ii, jj, kk)
+    yy, e = _observed_and_predicted(model, tensor)
     return loss_sum(np.subtract(yy, e, out=e), loss, gamma)
 
 

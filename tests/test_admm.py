@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -715,3 +716,46 @@ def test_train_epoch_peak_memory_per_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 26 * obs.n_entries
+
+
+# ------------------------------------------------------------ pinned outputs
+
+# sha256 of the saved model text, the report summary and the log of short
+# fits on two small synthetic tensors; recorded before the sweeps applied each
+# column's yhat update inside the next column's chunk pass, which must not
+# change a bit
+_PINNED_FITS = {
+    ("a", "cauchy", 1): "7c724eafad50422bd5c15afc21a228c3813e50999f62e77ba0796843915fa8b3",
+    ("a", "cauchy", 4): "8c899555d355f3f6376e52f987128903e9e52eae2d910b50da4900f2eff8baa2",
+    ("a", "cauchy", 9): "c88837d4b1f109acd8c4bf6152cc392bcd96f7c32b005b0be2ab14773770e0a2",
+    ("a", "l2", 1): "9895bf7b0e592013a63b3ba05885a3c64a98dd02641c2489ed7c0af9d1f2cb7b",
+    ("a", "l2", 4): "82fdc79586a65fb9fabd18c10b98ac8ad42aee235f4d469e321e199feb1bb294",
+    ("a", "l2", 9): "328c26eceefd1ad07a3bfd604f7f284c0e9b6076cbe035477114b72bbaaa1a01",
+    ("b", "cauchy", 1): "dfd923f60a4ece0e04cf75aab2c4363a27dd87b510125621e2393f357362dc8a",
+    ("b", "cauchy", 4): "187bce4d76d7dcdc14ce2db6ad030b90a695d0cccb74fd30f54485c1d1668906",
+    ("b", "cauchy", 9): "c4a58280b85d99ad888ff7843e36c76b32fb7a092aa9939baef133e31299f8f4",
+    ("b", "l2", 1): "563e0fbc21e492a143ab1ed8d6804415ad45a32e6ba3d1728a7585e8c4dd00a2",
+    ("b", "l2", 4): "74664577af72e1ea0d355c45685cdd91c4358bed8f70342a0aaa0f966d68f0af",
+    ("b", "l2", 9): "aa4619154d8a596c9b85ae40e0630e70aecaf070a1d79277670b979ee1f84ee1",
+}
+_PIN_SPECS = {
+    "a": SynthSpec(dims=(7, 6, 5), rank=2, density=0.6, noise_std=0.05,
+                   outlier_rate=0.1, outlier_scale=10.0, seed=11),
+    "b": SynthSpec(dims=(5, 9, 4), rank=3, density=0.45, noise_std=0.02, seed=12),
+}
+
+
+@pytest.mark.parametrize("chunk", [lftk.admm._SWEEP_CHUNK, 3])
+@pytest.mark.parametrize("tensor, loss, rank", sorted(_PINNED_FITS))
+def test_fit_outputs_match_their_pinned_digests(tensor, loss, rank, chunk, monkeypatch):
+    obs, _, _ = synthesize(_PIN_SPECS[tensor])
+    train_t, val_t, _ = split(obs, SplitSpec(0.7, 0.1, 0.2, seed=0))
+    monkeypatch.setattr(lftk.admm, "_SWEEP_CHUNK", chunk)
+    log, text = io.StringIO(), io.StringIO()
+    config = TrainConfig(rank=rank, loss=loss, max_epochs=12, patience=12, seed=5)
+    model, report = train(train_t, val_t, config, log=log)
+    save_model(model, text)
+    digest = hashlib.sha256()
+    for part in (text.getvalue(), json.dumps(report.summary()), log.getvalue()):
+        digest.update(part.encode())
+    assert digest.hexdigest() == _PINNED_FITS[tensor, loss, rank]

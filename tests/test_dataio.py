@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import tracemalloc
@@ -445,3 +446,79 @@ def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
             assert not pipe.seekable()
             t = load_records(pipe)
         assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0)]
+
+
+# ------------------------------------------------------------- outlier masks
+
+
+def test_binary_streams_stay_open_after_parsing():
+    # the text wrapper around a caller's byte stream is detached, not dropped,
+    # so collecting it does not close the caller's stream
+    records, mask = io.BytesIO(b"0 0 0 1\n"), io.BytesIO(b"# flagged\n0 0 0\n")
+    load_records(records)
+    load_outlier_mask(mask)
+    gc.collect()
+    assert not records.closed and not mask.closed
+    bad = io.BytesIO(b"0 0 x 1\n")
+    with pytest.raises(DataFormatError):
+        load_records(bad)
+    gc.collect()
+    assert not bad.closed
+
+
+def _mask_line_by_line(source):
+    # load_outlier_mask with the bulk parse switched off: the reference path
+    with mock.patch.object(dataio, "loadtxt_or_none", lambda *args, **kwargs: None):
+        return load_outlier_mask(source)
+
+
+def _mask_outcome(load, source):
+    try:
+        return load(source)
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+_MASK_FIELDS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["1_0", "-3", "+4", "007", "1.0", "1e3", "x", ""]),
+)
+
+
+@st.composite
+def _mask_files(draw):
+    lines = [draw(st.sampled_from(["# flagged entries: i j k (0-based)", "  # x", "#"]))
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "# mid", " # 1 2 3"])))
+        else:
+            count = 3 if kind > 2 else draw(st.sampled_from([1, 2, 4]))
+            fields = [draw(st.integers(-5, 40).map(str)) if kind > 3 else draw(_MASK_FIELDS)
+                      for _ in range(count)]
+            pad = st.sampled_from([" ", "\t", "  ", " \t"])
+            lines.append(draw(st.sampled_from(["", " "]))
+                         + "".join(f + draw(pad) for f in fields).rstrip())
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@given(text=_mask_files(), as_bytes=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_bulk_mask_parse_agrees_with_the_line_parser(text, as_bytes):
+    def source():
+        return io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+
+    assert _mask_outcome(load_outlier_mask, source()) == _mask_outcome(_mask_line_by_line,
+                                                                        source())
+
+
+def test_mask_files_parse_in_one_call(tmp_path):
+    obs, _, mask = synthesize(SynthSpec(dims=(9, 8, 7), rank=1, density=0.5,
+                                        outlier_rate=0.2, seed=4))
+    path = tmp_path / "outliers.txt"
+    write_outlier_mask(obs, mask, path)
+    with mock.patch.object(dataio, "_record_lines", side_effect=AssertionError):
+        flagged = load_outlier_mask(path)
+    assert flagged == {tuple(c) for c in obs.idx[:, mask].T.tolist()}
+    assert len(flagged) == int(mask.sum())

@@ -13,6 +13,7 @@ from lftk import (
     TrainConfig,
     build_tensor,
     load_model,
+    mae,
     objective,
     save_model,
 )
@@ -324,3 +325,65 @@ def test_load_model_reads_what_float_reads(tmp_path):
     p = tmp_path / "m.model"
     p.write_text(_MODEL_TEXT.replace("2 0.25\n", "  1_0\t0.25 \n", 1))
     assert load_model(p).U.tolist() == [[0.5, 1.0], [10.0, 0.25]]
+
+
+# ------------------------------------------------- checks on the fast paths
+
+
+@pytest.mark.parametrize("entries", [
+    build_tensor((2, 1, 1), [(1, 0, 0, 1.0)]),  # dims differ from the model's
+    build_tensor((1, 1, 3), [(0, 0, 2, 1.0)]),
+    [(1, 0, 0, 1.0)],
+    [(0, 0, -1, 1.0)],
+])
+def test_objective_and_mae_reject_coordinates_outside_the_model(entries):
+    m = rank2_model()
+    with pytest.raises(IndexError, match="out of range"):
+        objective(m, entries)
+    with pytest.raises(IndexError, match="out of range"):
+        mae(m, entries)
+
+
+def test_objective_and_mae_of_a_tensor_equal_the_checked_path():
+    rng = np.random.default_rng(3)
+    m = FactorModel.initialize((4, 5, 3), 2, seed=1)
+    cells = rng.permutation(60)[:25]
+    entries = [(*np.unravel_index(c, (4, 5, 3)), float(v))
+               for c, v in zip(cells, rng.uniform(0, 2, 25))]
+    # the first has the model's dims and skips the coordinate check; the second does not
+    for t in (build_tensor((4, 5, 3), entries), build_tensor((1, 1, 1), [(0, 0, 0, 2.0)])):
+        for loss in ("cauchy", "l2"):
+            assert objective(m, t, loss) == objective(m, t.entries(), loss)
+        assert mae(m, t) == mae(m, t.entries())
+
+
+@pytest.mark.parametrize("name", ["U", "S", "T", "a", "b", "c"])
+@pytest.mark.parametrize("bad, message", [
+    (-0.5, "negative"), (-0.0 - 1e-300, "negative"),
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+])
+def test_copy_rejects_arrays_spoiled_in_place(name, bad, message):
+    m = rank2_model()
+    getattr(m, name)[0] = bad
+    with pytest.raises(ValueError, match=f"^{name} contains {message} values$"):
+        m.copy()
+
+
+def test_copy_names_the_array_the_constructor_names():
+    # U, S and T are checked before a, b and c, whatever block they share
+    m = rank2_model()
+    m.a[0], m.S[0, 1] = -1.0, np.nan
+    with pytest.raises(ValueError, match="^S contains non-finite values$"):
+        m.copy()
+
+
+def test_copy_is_an_independent_bitwise_copy():
+    m = FactorModel.initialize((3, 4, 2), 3, seed=2)
+    c = m.copy()
+    assert all(x.tobytes() == y.tobytes() and x is not y for x, y in zip(m.blocks, c.blocks))
+    assert all(np.shares_memory(view, blk) for (_, view), blk in
+               zip(c.arrays(), c.blocks + c.blocks))
+    c.U[0, 0] = 5.0
+    assert m.U[0, 0] != 5.0
+    empty = FactorModel(np.zeros((0, 1)), [[1.0]], [[1.0]], [], [0.0], [0.0])
+    assert empty.copy().dims == (0, 1, 1)
