@@ -128,6 +128,6 @@ def parse_dims(text):
         dims = tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"expected dims as IxJxK, got {text!r}") from None
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"dimensions must be positive, got {text!r}")
+    if not all(0 < d < 2**63 for d in dims):
+        raise ValueError(f"dimensions must be positive and below 2**63, got {text!r}")
     return dims

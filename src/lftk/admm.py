@@ -314,6 +314,13 @@ def _check_group(name, arr):
                               else f"magnitude exceeds {DIVERGENCE_LIMIT:g}")
 
 
+def _check_blocks(blocks, names):
+    # one reduction per block; only when one fails are the six groups searched, in order
+    if not all(np.abs(b).max() <= DIVERGENCE_LIMIT for b in blocks if b.size):
+        for name, arr in zip(names, block_views(blocks)):
+            _check_group(name, arr)
+
+
 def train_epoch(state, model, tensor, config):
     """One full sweep over every variable group.
 
@@ -335,12 +342,10 @@ def train_epoch(state, model, tensor, config):
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
     del yhat, coef, prev  # freed before the objective allocates its own
     project_nonnegative(state, model)
-    for name, arr in model.arrays():
-        _check_group(f"projected {name}", arr)
+    _check_blocks(model.blocks, (f"projected {name}" for name in "USTabc"))
     update_multipliers(state, model, config.eta)
-    for part, cols in (("factors", slice(0, rank)), ("biases", rank)):
-        for mode, mult in zip(MODES, state.mult):
-            _check_group(f"multipliers for {mode} {part}", mult[:, cols])
+    _check_blocks(state.mult, (f"multipliers for {mode} {part}"
+                               for part in ("factors", "biases") for mode in MODES))
     obj = objective(model, tensor, loss=config.loss, gamma=config.gamma)
     return obj, state.max_primal_residual(model)
 

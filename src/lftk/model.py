@@ -56,11 +56,13 @@ class FactorModel:
         _check_shapes(factors, biases)
         self.blocks = tuple(np.column_stack(fv) for fv in zip(factors, biases))
         self.U, self.S, self.T, self.a, self.b, self.c = block_views(self.blocks)
-        for name, arr in self.arrays():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-            if arr.size and arr.min() < 0:
-                raise ValueError(f"{name} contains negative values")
+        # one pass per block; only a failing block has the arrays named, in order
+        if not all(not b.size or (b.min() >= 0 and b.max() < np.inf) for b in self.blocks):
+            for name, arr in self.arrays():
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{name} contains non-finite values")
+                if arr.size and arr.min() < 0:
+                    raise ValueError(f"{name} contains negative values")
 
     @classmethod
     def initialize(cls, dims, rank, seed):
@@ -101,14 +103,8 @@ class FactorModel:
         )
 
     def copy(self):
-        """Independent copy; a block failing its checks goes to ``__init__`` to name it."""
-        blocks = tuple(blk.copy() for blk in self.blocks)
-        if not all(not b.size or (b.min() >= 0 and b.max() < np.inf) for b in blocks):
-            return FactorModel(*block_views(blocks))
-        model = object.__new__(FactorModel)
-        model.blocks = blocks
-        model.U, model.S, model.T, model.a, model.b, model.c = block_views(blocks)
-        return model
+        """Independent copy, built and checked by the constructor."""
+        return FactorModel(*block_views(self.blocks))
 
     def predict(self, i, j, k):
         """Point prediction for cell (i, j, k); equals :meth:`predict_entries`."""

@@ -60,8 +60,8 @@ class SparseTensor:
         from).
         """
         dims = tuple(int(d) for d in dims)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {dims}")
+        if len(dims) != 3 or not all(0 < d < 2**63 for d in dims):
+            raise ValueError(f"dims must be three positive integers below 2**63, got {dims}")
         # Private copies: the tensor freezes its arrays and must not alias
         # caller-owned storage. One call, so list input is held only once.
         idx = np.array((i, j, k))
@@ -163,8 +163,6 @@ def check_coords(mode, row, dim, error=ValueError):
 
 
 def _check_duplicates(dims, idx):
-    if idx.shape[1] < 2:
-        return
     ravel = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
     order = np.argsort(ravel, kind="stable")
     srt = ravel[order]

@@ -486,6 +486,43 @@ def test_epoch_divergence_group_names_are_exact(poison, group):
     assert info.value.reason == "non-finite value"
 
 
+# Two failing blocks at once: the groups are searched in order, so the first
+# failing group is named even where it sits in a later block.
+DOUBLE_DIVERGENCE_POINTS = [
+    ((_poison("a", 1), _poison("S", (1, 0))), "projected S"),
+    ((_poison("chi", 1), _poison("rho", (1, 1))), "multipliers for service factors"),
+    ((_poison("sigma", 1), _poison("vphi", 1)), "multipliers for service biases"),
+]
+
+
+@pytest.mark.parametrize("poisons,group", DOUBLE_DIVERGENCE_POINTS,
+                         ids=[g for _, g in DOUBLE_DIVERGENCE_POINTS])
+def test_epoch_divergence_names_the_first_group_of_two(poisons, group):
+    t = build_tensor((2, 2, 2), [(0, 0, 0, 1.0)])
+    model = FactorModel.initialize(t.dims, 2, seed=3)
+    state, config = make_state(model, t)
+    for poison in poisons:
+        poison(state, model)
+    with pytest.raises(DivergenceError) as info:
+        train_epoch(state, model, t, config)
+    assert (info.value.group, info.value.reason) == (group, "non-finite value")
+
+
+def test_clean_epoch_checks_groups_only_between_sweeps(monkeypatch):
+    # the six auxiliary groups are checked one by one; the projected model and
+    # the multipliers are checked a block at a time and name no group when clean
+    names = []
+    check = lftk.admm._check_group
+    monkeypatch.setattr(lftk.admm, "_check_group",
+                        lambda name, arr: (names.append(name), check(name, arr)))
+    t = build_tensor((2, 2, 2), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
+    model = FactorModel.initialize(t.dims, 2, seed=3)
+    state, config = make_state(model, t)
+    train_epoch(state, model, t, config)
+    assert names == [f"auxiliary {mode} {part}" for part in ("factors", "biases")
+                     for mode in MODES]
+
+
 # -------------------------------------------- oracle equivalence (property)
 
 

@@ -326,6 +326,32 @@ def test_malformed_input_exit_code_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_record_index_beyond_int64_is_an_input_error(tmp_path, capsys, command):
+    # inferred dims of 1e20 do not fit int64: one message, no traceback
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    big.write_text("99999999999999999999 0 0 1\n")
+    small.write_text("0 0 0 1\n")
+    argv = (["split", "--input", str(big), "--ratios", "1:1:1", "--out", str(tmp_path / "s")]
+            if command == "split" else
+            ["train", "--train", str(big), "--val", str(small),
+             "--model-out", str(tmp_path / "m")])
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("lftk: input error: ") and err.count("\n") == 1
+    assert "2**63" in err
+
+
+@pytest.mark.parametrize("dims", ["100000000000000000000x2x2", "2x9223372036854775808x2"])
+def test_dims_flag_beyond_int64_is_a_usage_error(tmp_path, capsys, dims):
+    small = tmp_path / "small.txt"
+    small.write_text("0 0 0 1\n")
+    code, _, err = run(["train", "--train", str(small), "--val", str(small), "--dims", dims,
+                        "--model-out", str(tmp_path / "m")], capsys)
+    assert code == 1
+    assert err == f"lftk: error: dimensions must be positive and below 2**63, got {dims!r}\n"
+
+
 def test_train_divergence_exit_code_3(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")

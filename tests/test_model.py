@@ -377,6 +377,18 @@ def test_copy_names_the_array_the_constructor_names():
         m.copy()
 
 
+def test_two_failing_blocks_name_the_first_array_in_order():
+    # a (in U's block) and S both fail: S comes first in U, S, T, a, b, c order
+    m = FactorModel.initialize((2, 2, 2), 2, seed=4)
+    arrays = [arr.copy() for _, arr in m.arrays()]
+    arrays[3][1], arrays[1][0, 0] = -1.0, np.nan
+    with pytest.raises(ValueError, match="^S contains non-finite values$"):
+        FactorModel(*arrays)
+    m.a[1], m.S[0, 0] = -1.0, np.nan
+    with pytest.raises(ValueError, match="^S contains non-finite values$"):
+        m.copy()
+
+
 def test_copy_is_an_independent_bitwise_copy():
     m = FactorModel.initialize((3, 4, 2), 3, seed=2)
     c = m.copy()

@@ -22,6 +22,12 @@ def test_duplicate_triple_rejected_naming_triple():
         build_tensor((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 2.0)])
 
 
+@pytest.mark.parametrize("dims", [(2**70, 1, 1), (1, 2**63, 1), (0, 1, 1), (1, 1, -2)])
+def test_dims_outside_positive_int64_are_a_value_error(dims):
+    with pytest.raises(ValueError, match=r"^dims must be three positive integers below 2\*\*63"):
+        build_tensor(dims, [(0, 0, 0, 1.0)])
+
+
 def test_out_of_range_index_rejected():
     with pytest.raises(ValueError, match="service"):
         build_tensor((2, 2, 2), [(0, 2, 0, 1.0)])
