@@ -28,8 +28,9 @@ disjoint entry sets, so updating them in ascending index order is
 identical to updating them simultaneously; the sweeps below exploit this
 with vectorized per-phase updates. Each sweep walks the entries in
 cache-sized chunks through reused buffers; ``np.bincount`` (first chunk) and
-``np.add.at`` (the rest) sum each entity's terms in entry order, exactly as
-one ``np.bincount`` over all entries would, so results do not depend on the
+``np.add.at`` (the rest, both sums at once as the real and imaginary parts of
+one complex add) sum each entity's terms in entry order, exactly as one
+``np.bincount`` over all entries would, so results do not depend on the
 chunk size. This single deterministic partition is recorded in the report.
 """
 
@@ -148,6 +149,8 @@ class AdmmState:
          self.chi, self.vphi, self.sigma) = block_views(self.mult)
         self.constants = constants
         self.active = tuple(c > 0 for c in (constants.tau, constants.nu, constants.omega))
+        # ufunc `where` masks: plain True, far cheaper for numpy, when all are active
+        self.where = tuple(True if a.all() else a for a in self.active)
         self.gamma = gamma
         self.loss = loss
 
@@ -178,17 +181,6 @@ class AdmmState:
                             for aux, prim in zip(self.aux, model.blocks) if aux.size])
 
 
-def _column_coef(state, idx, axis, col, out=None):
-    # Per-entry coefficient of the mode's own auxiliary value in column
-    # `col` of the prediction: the product of the other two modes' column
-    # values for a factor column, and 1 for the bias column. Gathering
-    # through 1-D column views is faster than 2-D indexing blk[idx[p], col].
-    if col == state.rank:
-        return 1.0
-    p, q = (m for m in range(3) if m != axis)
-    return np.multiply(state.aux[p][:, col][idx[p]], state.aux[q][:, col][idx[q]], out=out)
-
-
 def _update_coordinate(state, model, tensor, mode, index, col):
     pos = tensor.slice(mode, index)
     axis = MODES.index(mode)
@@ -197,7 +189,9 @@ def _update_coordinate(state, model, tensor, mode, index, col):
         return float(aux[index, col])
     y = tensor.y[pos]
     yhat = state.aux_prediction(tensor, pos)
-    coef = _column_coef(state, tensor.idx[:, pos], axis, col)
+    # coefficient of aux[index, col]: the other two modes' values of the column, or 1
+    p, q = (state.aux[m][tensor.idx[m, pos], col] for m in range(3) if m != axis)
+    coef = p * q if col < state.rank else 1.0
     delta = cauchy_weight(y - yhat, state.gamma, state.loss)
     partial = yhat - aux[index, col] * coef
     num = float((delta * coef * (y - partial)).sum()) + const[index] * prim[index, col]
@@ -270,15 +264,21 @@ def lagrangian_value(state, model, tensor, config):
     return value
 
 
-def _sweep_column(state, group, tensor, axis, col, yhat, coef, prev):
+def _sweep_column(state, tensor, axis, col, fixed, work, prev):
     # One auxiliary column for every entity of the mode at once, chunk by chunk;
     # each chunk first takes the yhat update of `prev`, the last column's
-    # (step, own, factor), with the coefficients `coef` still holds.
-    _, aux, prim, mult, const = group
+    # (step, own, factor), with the coefficients `coef` still holds. `fixed`
+    # is the mode's (const * primal - multiplier, const), set for the epoch.
+    (pull, const), (yhat, coef, buf) = fixed, work
     step, moved, scaled = prev or (None, None, False)
-    idx, y, own, old = tensor.idx, tensor.y, tensor.idx[axis], aux[:, col]
-    num, den = np.zeros(len(old)), np.zeros(len(old))  # for an empty tensor
-    buf, factor = np.empty(min(_SWEEP_CHUNK, y.size)), col < state.rank
+    y, own, old = tensor.y, tensor.idx[axis], state.aux[axis][:, col]
+    factor, gamma2, sums = col < state.rank, state.gamma * state.gamma, None
+    if factor:  # the other two modes' values of this column, per entry
+        p, q = (m for m in range(3) if m != axis)
+        cp, cq = state.aux[p][:, col], state.aux[q][:, col]
+        ip, iq = tensor.idx[p], tensor.idx[q]
+    if not y.size:  # nothing to sum (np.bincount would return int zeros)
+        num, den = np.zeros(len(old)), np.zeros(len(old))
     for lo in range(0, y.size, _SWEEP_CHUNK):
         at, wc = slice(lo, lo + _SWEEP_CHUNK), buf[: min(_SWEEP_CHUNK, y.size - lo)]
         if step is not None:
@@ -287,25 +287,32 @@ def _sweep_column(state, group, tensor, axis, col, yhat, coef, prev):
             wc.fill(1.0)
         else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
             np.square(np.subtract(y[at], yhat[at], out=wc), out=wc)
-            np.divide(1.0, np.add(wc, state.gamma * state.gamma, out=wc), out=wc)
+            np.divide(1.0, np.add(wc, gamma2, out=wc), out=wc)
         term = old[own[at]]
         if factor:  # a bias column's coefficient is 1: nothing to multiply
-            c = _column_coef(state, idx[:, at], axis, col, out=coef[at])
+            c = np.multiply(cp[ip[at]], cq[iq[at]], out=coef[at])
             wc *= c
             term *= c
         term = np.subtract(y[at], np.subtract(yhat[at], term, out=term), out=term)
         parts = (np.multiply(wc, term, out=term), np.multiply(wc, c, out=wc) if factor else wc)
-        if lo:
-            for acc, part in zip((num, den), parts):
-                np.add.at(acc, own[at], part)
-        else:  # from zero, bincount adds in entry order exactly as np.add.at does
+        if not lo:  # from zero, bincount adds in entry order exactly as np.add.at does
             num, den = (np.bincount(own[at], part, len(old)) for part in parts)
-    num += const * prim[:, col] - mult[:, col]
-    new = old.copy()
-    np.divide(num, const + den, out=new, where=state.active[axis])
-    step = new - old
-    old[:] = new
-    return step, own, factor
+            continue
+        if sums is None:  # complex adds sum real and imaginary parts apart: num + den*1j
+            sums, z = np.empty(len(old), complex), np.empty(_SWEEP_CHUNK, complex)
+            sums.real, sums.imag = num, den
+            num, den = sums.real, sums.imag
+        zc = z[: wc.size]
+        zc.real, zc.imag = parts
+        np.add.at(sums, own[at], zc)
+    where = state.where[axis]
+    num += pull[:, col]
+    den += const
+    np.divide(num, den, out=num, where=where)
+    # den is exactly 0 for an entity without entries, so its step stays 0
+    np.subtract(num, old, out=den, where=where)
+    np.copyto(old, num, where=where)
+    return den, own, factor
 
 
 def _check_group(name, arr):
@@ -331,16 +338,19 @@ def train_epoch(state, model, tensor, config):
     aux-primal gap. Raises :class:`DivergenceError` naming the variable
     group that first produced a non-finite or runaway value.
     """
-    groups, yhat = state.groups(model), state.aux_prediction(tensor)
-    coef, rank, prev = np.empty_like(yhat), model.rank, None
+    yhat, rank, prev = state.aux_prediction(tensor), model.rank, None
+    work = (yhat, np.empty_like(yhat), np.empty(min(_SWEEP_CHUNK, yhat.size)))
+    # the sweeps move only the auxiliaries, so each mode's pull is fixed
+    fixed = [(const[:, None] * prim - mult, const)
+             for _, _, prim, mult, const in state.groups(model)]
     for axis, mode in enumerate(MODES):
         for col in range(rank):
-            prev = _sweep_column(state, groups[axis], tensor, axis, col, yhat, coef, prev)
+            prev = _sweep_column(state, tensor, axis, col, fixed[axis], work, prev)
         _check_group(f"auxiliary {mode} factors", state.aux[axis][:, :rank])
     for axis, mode in enumerate(MODES):
-        prev = _sweep_column(state, groups[axis], tensor, axis, rank, yhat, coef, prev)
+        prev = _sweep_column(state, tensor, axis, rank, fixed[axis], work, prev)
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
-    del yhat, coef, prev  # freed before the objective allocates its own
+    del yhat, work, prev  # freed before the objective allocates its own
     project_nonnegative(state, model)
     _check_blocks(model.blocks, (f"projected {name}" for name in "USTabc"))
     update_multipliers(state, model, config.eta)
@@ -394,8 +404,10 @@ def train(tensor_train, tensor_val, config, log=None):
                     f"epoch {epoch} obj {fmt_real(obj)} val_mae {fmt_real(val)}"
                     f" max_primal_residual {fmt_real(max_gap)}\n"
                 )
-            if val < best_val:
-                best_model, best_val, best_epoch = model.copy(), val, epoch
+            if val < best_val:  # the snapshot's blocks take the model's in place
+                for best, blk in zip(best_model.blocks, model.blocks):
+                    np.copyto(best, blk)
+                best_val, best_epoch = val, epoch
             if val < progress_ref - config.min_delta:
                 progress_ref = val
                 stall = 0

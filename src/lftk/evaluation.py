@@ -77,7 +77,8 @@ def mae(model, entries):
     yy, e = _observed_and_predicted(model, entries)
     if yy.size == 0:
         raise ValueError("cannot compute MAE over an empty entry set")
-    return float(np.abs(np.subtract(yy, e, out=e), out=e).mean())
+    # the pairwise sum over n, as .mean() computes it, without its overhead
+    return float(np.abs(np.subtract(yy, e, out=e), out=e).sum() / yy.size)
 
 
 def split_sizes(n_entries, spec):

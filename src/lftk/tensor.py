@@ -9,6 +9,7 @@ positions of one entity's entries (its slice) are found on demand by a
 scan, which only the scalar reference updates use.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -163,10 +164,17 @@ def check_coords(mode, row, dim, error=ValueError):
 
 
 def _check_duplicates(dims, idx):
-    ravel = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
-    order = np.argsort(ravel, kind="stable")
-    srt = ravel[order]
-    dup = np.nonzero(srt[1:] == srt[:-1])[0]
+    # sorted by (i, j, k): through the raveled index while I*J*K fits in int64
+    if math.prod(dims) < 2**63:
+        ravel = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+        order = np.argsort(ravel, kind="stable")
+        srt = ravel[order]
+        same = srt[1:] == srt[:-1]
+    else:
+        order = np.lexsort(idx[::-1])
+        srt = idx[:, order]
+        same = (srt[:, 1:] == srt[:, :-1]).all(axis=0)
+    dup = np.nonzero(same)[0]
     if dup.size:
         p = order[dup[0]]
         raise ValueError(f"duplicate entry at {tuple(idx[:, p].tolist())}")

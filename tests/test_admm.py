@@ -338,6 +338,17 @@ def test_epoch_zero_tensor_is_fixed_point():
     assert all((arr == 0).all() for _, arr in model.arrays())
 
 
+def test_epoch_on_an_empty_tensor_moves_nothing():
+    # no entity is active, so every step is zero and the model keeps its start
+    t = SparseTensor.from_arrays((3, 2, 2), [], [], [], [])
+    model = FactorModel.initialize(t.dims, 2, seed=0)
+    start = [blk.copy() for blk in model.blocks]
+    state, config = make_state(model, t)
+    assert train_epoch(state, model, t, config) == (0.0, 0.0)
+    assert all((blk == s).all() for blk, s in zip(model.blocks, start))
+    assert all((aux == s).all() for aux, s in zip(state.aux, start))
+
+
 def test_epoch_single_entry_traces_per_op_oracles():
     # composable trace: the u-update lands on 1/3 (its golden-section value),
     # projection then gives u = max(0, 1/3 + 0/1) and the dual step is zero

@@ -142,6 +142,20 @@ def test_cauchy_loss_below_the_cutoff_is_the_plain_sum_bit_for_bit():
         assert loss_sum(below, "cauchy", gamma) == float(np.log1p((below / gamma) ** 2).sum())
 
 
+def test_cauchy_loss_mixing_both_sides_of_the_cutoff_is_the_per_entry_sum(recwarn):
+    # residuals above 1e150*gamma take 2 ln|e/gamma|, the rest ln(1 + (e/gamma)^2),
+    # and numpy sums the per-entry terms in entry order
+    gamma = 0.5
+    e = np.array([0.3, -1e200, 2.0, 1e151 * gamma, -4e-3, 1e150 * gamma, 1e308, 7.0])
+    big = np.abs(e) > 1e150 * gamma
+    terms = np.empty_like(e)
+    terms[~big] = np.log1p((e[~big] / gamma) ** 2)
+    terms[big] = 2 * (np.log(np.abs(e[big])) - np.log(gamma))
+    assert big.sum() == 3
+    assert loss_sum(e, "cauchy", gamma) == float(terms.sum())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_objective_single_residual_values():
     m = FactorModel(U=[[0.0]], S=[[0.0]], T=[[0.0]], a=[0.0], b=[0.0], c=[0.0])
     t1 = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])

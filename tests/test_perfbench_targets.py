@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import lftk.cli
+
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -54,3 +56,27 @@ def test_target_exists_and_counter_reads_named_positions(target, monkeypatch):
     params = list(inspect.signature(getattr(owner, attr)).parameters)
     for pos, name in read:
         assert params[pos] == name, f"{attr} argument {pos} is {params[pos]!r}, not {name!r}"
+
+
+def test_every_span_records_a_call_in_a_small_pipeline(tmp_path):
+    # a traced perfbench run exits 1 when a span records nothing, e.g. once
+    # `train` stops calling `FactorModel.copy`; this catches it in tier-1
+    data, splits, model = tmp_path / "data", tmp_path / "splits", tmp_path / "m.model"
+    commands = (
+        ["synth", "--dims", "6x5x4", "--rank", "2", "--density", "0.5",
+         "--outlier-rate", "0.1", "--outlier-scale", "10", "--seed", "1", "--out", data],
+        ["split", "--input", data / "observed.txt", "--ratios", "60:20:20", "--seed", "1",
+         "--out", splits],
+        ["train", "--train", splits / "train.txt", "--val", splits / "validation.txt",
+         "--dims", "6x5x4", "--rank", "2", "--max-epochs", "3", "--model-out", model],
+        ["eval", "--model", model, "--test", splits / "test.txt", "--mask", data / "outliers.txt"],
+        ["predict", "--model", model, "--entries", splits / "test.txt",
+         "--out", tmp_path / "pred.txt"],
+    )
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for argv in commands:
+            assert lftk.cli.main([str(a) for a in argv]) == 0, argv[0]
+    called = {s[spans.NAME] for s in tracer.spans}
+    missing = sorted({name for _, _, name, _ in spans.TARGETS} - called)
+    assert not missing, f"spans that recorded no call: {missing}"

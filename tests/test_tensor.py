@@ -22,6 +22,17 @@ def test_duplicate_triple_rejected_naming_triple():
         build_tensor((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 2.0)])
 
 
+def test_distinct_triples_are_not_duplicates_when_the_raveled_index_would_wrap():
+    # I*J*K = 2**66: (2**20, 0, 0) ravels to 2**64, which int64 wraps to 0
+    dims = (2**22,) * 3
+    t = build_tensor(dims, [(0, 0, 0, 1.0), (2**20, 0, 0, 2.0)])
+    assert t.n_entries == 2
+    # a true duplicate is still named, with the first of its pair in (i, j, k) order
+    entries = [(2**21, 5, 1, 1.0), (0, 2**20, 0, 1.0), (2**21, 5, 1, 2.0), (0, 2**20, 0, 3.0)]
+    with pytest.raises(ValueError, match=r"^duplicate entry at \(0, 1048576, 0\)$"):
+        build_tensor(dims, entries)
+
+
 @pytest.mark.parametrize("dims", [(2**70, 1, 1), (1, 2**63, 1), (0, 1, 1), (1, 1, -2)])
 def test_dims_outside_positive_int64_are_a_value_error(dims):
     with pytest.raises(ValueError, match=r"^dims must be three positive integers below 2\*\*63"):
