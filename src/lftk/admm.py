@@ -231,9 +231,9 @@ def project_nonnegative(state, model):
     element is >= 0. Returns the model (mutated in place).
     """
     for (_, aux, prim, mult, const), active in zip(state.groups(model), state.active):
-        shift = np.zeros_like(aux)
-        np.divide(mult, const[:, None], out=shift, where=active[:, None])
-        np.copyto(prim, np.maximum(0.0, aux + shift), where=active[:, None])
+        # 0/0 arises only on masked rows, where const and mult are both 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.copyto(prim, np.maximum(0.0, aux + mult / const[:, None]), where=active[:, None])
     return model
 
 
@@ -384,7 +384,8 @@ def train(tensor_train, tensor_val, config, log=None):
         raise ValueError(f"train dims {tensor_train.dims} != validation dims {tensor_val.dims}")
     model = FactorModel.initialize(tensor_train.dims, config.rank, config.seed)
     state = AdmmState.initialize(model, tensor_train, config)
-    skipped = {mode: int((tensor_train.slice_counts(mode) == 0).sum()) for mode in MODES}
+    # an entity's constant is 0, so it is inactive, exactly when it has no entries
+    skipped = {mode: int((~active).sum()) for mode, active in zip(MODES, state.active)}
 
     best_model, best_val, best_epoch = model.copy(), math.inf, 0
     progress_ref, stall, rows, divergence = math.inf, 0, [], None

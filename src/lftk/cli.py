@@ -156,10 +156,9 @@ def cmd_train(args):
     if dims is None:
         # validation entries may reach indices the training file never hits
         dims = tuple(max(d1, d2) for d1, d2 in zip(tensor_train.dims, tensor_val.dims))
-        tensor_train, tensor_val = (
-            SparseTensor.from_arrays(dims, *t.idx, t.y)
-            for t in (tensor_train, tensor_val)
-        )
+        # checked entries fit the wider dims, and duplicates do not depend on dims
+        tensor_train, tensor_val = (SparseTensor(dims, t.idx, t.y, _validated=True)
+                                    for t in (tensor_train, tensor_val))
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"
@@ -302,7 +301,7 @@ def main(argv=None):
     except DataFormatError as exc:
         print(f"lftk: input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError, MemoryError) as exc:
         print(f"lftk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,11 @@
-"""Sparse third-order tensor storage with per-mode entry counts.
+"""Sparse third-order tensor storage in coordinate form.
 
-The observed entries of a user x service x time tensor are kept in
-coordinate form, as one (3, n) int64 index block (rows user, service,
-time) next to the n values, with one entry-count vector per mode: for
-every user (service, time) index, how many entries are observed for
-that entity. The vectorized training sweeps need only these counts; the
-positions of one entity's entries (its slice) are found on demand by a
-scan, which only the scalar reference updates use.
+The observed entries of a user x service x time tensor are kept as one
+(3, n) int64 index block (rows user, service, time) next to the n values,
+and nothing else: per-mode entry counts (how many entries each user,
+service or time index has) are made on each call, once per training run.
+The positions of one entity's entries (its slice) are found on demand by
+a scan, which only the scalar reference updates use.
 """
 
 import math
@@ -36,8 +35,9 @@ def _mode_axis(mode):
 class SparseTensor:
     """Observed entries of an |I| x |J| x |K| nonnegative tensor.
 
-    Immutable after construction; every exposed array is read-only, so a
-    tensor can be shared freely across threads and model runs.
+    Holds only dims, coordinates and values, all read-only, so a tensor
+    can be shared freely across threads and model runs; per-mode entry
+    counts are made on each call to :meth:`slice_counts`.
 
     Use :func:`build_tensor` or :meth:`from_arrays` to construct one.
     """
@@ -47,9 +47,7 @@ class SparseTensor:
             raise TypeError("use build_tensor() or SparseTensor.from_arrays()")
         self._dims = dims
         self._idx, self._y = idx, y
-        self._counts = [np.bincount(row, minlength=d) for row, d in zip(idx, dims)]
-        for arr in (idx, y, *self._counts):
-            arr.flags.writeable = False
+        idx.flags.writeable = y.flags.writeable = False
 
     @classmethod
     def from_arrays(cls, dims, i, j, k, y):
@@ -111,8 +109,9 @@ class SparseTensor:
         return self._idx[_mode_axis(mode)]
 
     def slice_counts(self, mode):
-        """Number of observed entries per index of the given mode."""
-        return self._counts[_mode_axis(mode)]
+        """Number of observed entries per index of the given mode, counted anew."""
+        axis = _mode_axis(mode)
+        return np.bincount(self._idx[axis], minlength=self._dims[axis])
 
     def slice(self, mode, index):
         """Positions of the entries whose coordinate in `mode` equals `index`.

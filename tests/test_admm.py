@@ -612,6 +612,16 @@ def test_train_patience_zero_runs_one_epoch():
     assert report.best_epoch == 1
 
 
+def test_train_reports_skipped_entities_per_mode():
+    # users 3-4, services 2-3 and times 2-3 have no training entries
+    rows = [(i, j, k, 1.0 + i + j + k) for i in range(3) for j in range(2) for k in range(2)]
+    tr = build_tensor((5, 4, 4), rows)
+    va = build_tensor((5, 4, 4), [(4, 3, 3, 1.0)])
+    _, report = train(tr, va, TrainConfig(rank=1, max_epochs=2))
+    expected = {mode: int((tr.slice_counts(mode) == 0).sum()) for mode in MODES}
+    assert report.skipped_entities == expected == {"user": 2, "service": 2, "time": 2}
+
+
 def test_train_single_entry_reaches_zero_and_stops():
     t = build_tensor((1, 1, 1), [(0, 0, 0, 2.0)])
     config = TrainConfig(rank=1, lam=1.0, patience=5, min_delta=1e-7, max_epochs=1000, seed=13)

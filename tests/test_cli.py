@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from lftk import SynthSpec, TrainConfig
+from lftk import FactorModel, SynthSpec, TrainConfig
 from lftk.cli import _write_json, build_parser, main
 
 
@@ -350,6 +350,60 @@ def test_dims_flag_beyond_int64_is_a_usage_error(tmp_path, capsys, dims):
                         "--model-out", str(tmp_path / "m")], capsys)
     assert code == 1
     assert err == f"lftk: error: dimensions must be positive and below 2**63, got {dims!r}\n"
+
+
+def test_inferred_dims_widen_to_the_validation_file(tmp_path, capsys):
+    # validation reaches user 3, one past the training file's inferred 3x3x2
+    train_file, val_file = tmp_path / "train.txt", tmp_path / "val.txt"
+    train_file.write_text("".join(f"{i} {j} {k} {1 + 0.1 * (i + 2 * j + 3 * k):g}\n"
+                                  for i in range(3) for j in range(3) for k in range(2)
+                                  if (i + j + k) % 4))
+    val_file.write_text("3 1 0 1.2\n0 0 0 1.05\n2 1 1 1.9\n")
+    outputs = []
+    for tag, extra in (("inferred", []), ("explicit", ["--dims", "4x3x2"])):
+        model = tmp_path / f"{tag}.model"
+        code, _, _ = run(["train", "--train", str(train_file), "--val", str(val_file),
+                          "--rank", "2", "--max-epochs", "20", "--seed", "4",
+                          "--model-out", str(model), *extra], capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / f"{tag}.model.manifest.json").read_text())
+        assert manifest["parameters"]["dims"] == [4, 3, 2]
+        outputs.append([(tmp_path / f"{tag}.model{suffix}").read_bytes()
+                        for suffix in ("", ".log", ".report.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_split_keeps_an_index_far_past_the_others(tmp_path, capsys):
+    # a tensor holds only its entries, so a 3e9 index allocates nothing by dims
+    records = tmp_path / "records.txt"
+    records.write_text("3000000000 0 0 1\n0 0 0 2\n")
+    code, _, err = run(["split", "--input", str(records), "--ratios", "1:1:0",
+                        "--out", str(tmp_path / "s")], capsys)
+    assert code == 0 and err == ""
+    parts = "".join((tmp_path / "s" / f"{name}.txt").read_text()
+                    for name in ("train", "validation", "test"))
+    assert sorted(parts.splitlines()) == ["0 0 0 2", "3000000000 0 0 1"]
+
+
+def test_train_out_of_memory_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    # the model for 3e9 users does not fit; stubbed, as a real 112 GiB request
+    # can succeed on an overcommitting host and get the process killed
+    sized = []
+
+    def no_memory(cls, dims, rank, seed):
+        sized.append(dims)
+        raise MemoryError(f"Unable to allocate an array with shape ({dims[0]}, {rank})")
+
+    monkeypatch.setattr(FactorModel, "initialize", classmethod(no_memory))
+    train_file, val_file = tmp_path / "train.txt", tmp_path / "val.txt"
+    train_file.write_text("3000000000 0 0 1\n")
+    val_file.write_text("0 0 0 2\n")
+    code, out, err = run(["train", "--train", str(train_file), "--val", str(val_file),
+                          "--model-out", str(tmp_path / "m.model")], capsys)
+    assert sized == [(3_000_000_001, 1, 1)]
+    assert code == 1 and out == ""
+    assert err == "lftk: error: Unable to allocate an array with shape (3000000001, 5)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt", "val.txt"]
 
 
 def test_train_divergence_exit_code_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_tensor_is_immutable():
         t.y[0] = 2.0
     with pytest.raises(ValueError):
         t.slice("user", 0)[0] = 5
+
+
+def test_building_a_tensor_allocates_nothing_per_dimension():
+    # a tensor holds only its entries: no vector the length of a mode is built
+    tracemalloc.start()
+    try:
+        build_tensor((10**6,) * 3, [(999_999, 0, 0, 1.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @st.composite
