@@ -200,11 +200,11 @@ def cmd_eval(args):
         raise DataFormatError("no records found in the test file")
     print(f"mae {fmt_real(mae(model, tensor))}")
     if args.mask:
-        # a triple outside the model's dims would alias a real cell once raveled
-        inside = [t for t in load_outlier_mask(args.mask)
-                  if all(0 <= v < d for v, d in zip(t, model.dims))]
-        flagged = np.ravel_multi_index(np.array(inside, dtype=np.int64).reshape(-1, 3).T,
-                                       model.dims)
+        # a triple outside the model's dims would alias a real cell once raveled;
+        # object arrays compare the parser's Python ints, however large, exactly
+        tri = np.array(list(load_outlier_mask(args.mask)), dtype=object).reshape(-1, 3)
+        inside = ((tri >= 0) & (tri < np.array(model.dims, dtype=object))).all(axis=1)
+        flagged = np.ravel_multi_index(tri[inside].astype(np.int64).T, model.dims)
         keep = np.flatnonzero(~np.isin(np.ravel_multi_index(tensor.idx, model.dims), flagged))
         if not keep.size:
             raise DataFormatError("outlier mask flags every test entry; clean MAE undefined")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -300,8 +301,10 @@ def test_eval_mask_triples_outside_the_model_flag_nothing(tmp_path, capsys):
     )  # dims (1, 2, 2): cell (0, 0, 2) would ravel to 2, the cell (0, 1, 0)
     test_file = tmp_path / "t.txt"
     test_file.write_text("0 0 0 1\n0 1 0 9\n0 1 1 2\n")
+    # beyond int64, negative, or past a dim: each is dropped, none overflows
+    outside = "99999999999999999999 0 0\n0 0 2\n0 0 -1\n1 0 0\n0 2 -4\n"
     clean = []
-    for mask in ("0 1 1\n", "0 1 1\n0 0 2\n0 0 -1\n1 0 0\n0 2 -4\n"):
+    for mask in ("", outside, "0 1 1\n", "0 1 1\n" + outside):
         mask_file = tmp_path / "mask.txt"
         mask_file.write_text(mask)
         code, stdout, _ = run(
@@ -311,7 +314,55 @@ def test_eval_mask_triples_outside_the_model_flag_nothing(tmp_path, capsys):
         )
         assert code == 0
         clean.append(stdout.splitlines()[1])
-    assert clean == ["clean_mae 4", "clean_mae 4"]
+    assert clean == ["clean_mae 3", "clean_mae 3", "clean_mae 4", "clean_mae 4"]
+
+
+# sha256 of the files the README pipeline writes through the record writer,
+# in each record format; recorded when coordinates were formatted by str per value
+_README_RECORD_DIGESTS = {
+    ("whitespace", 0): {
+        "data/observed.txt": "282c30b42c81fe466468bf842f9374727df42f6d22f5561f160f482869180712",
+        "data/outliers.txt": "b6a70c23b75dc81285b2dbd980d05422e928d866d293065ef7dc290d2a3f6298",
+        "splits/train.txt": "83a9bbed73a0e7e4ae9b7899b14fa2271c528c8a02cff309bceaf977ab4686ce",
+        "splits/validation.txt": "197eda951bff87b2eca2d65c8d197b139f3bd151aa2a13cbaf394f284c8d160b",
+        "splits/test.txt": "36891b5bc5906f3333204e190b8e333787aa2714f3abcfd6cff73e4c501ad4da",
+        "pred.txt": "081657f05a3b97ed0732e67aa17fa17bc05171b61bfff0aa38c5e24ef2c6665c",
+    },
+    ("comma", 1): {
+        "splits/train.txt": "cb0be51773056e7b4f9cfd27cb977cf37ee86c9f82b9741d2240e1627c88567e",
+        "splits/validation.txt": "87b25d722bef024925e056dcc434fc1b911b8c2645b3d0491f70aaca7544a21b",
+        "splits/test.txt": "6ef65838afccbde3f82a8ce5b56e6c4f6e67c324353022977cebfd89656f3070",
+        "pred.txt": "d271e42d6785bab96df2e974bcfc54a80b06acdadfed4300881fac83c928d897",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt, base", sorted(_README_RECORD_DIGESTS))
+def test_readme_record_files_match_their_pinned_digests(tmp_path, capsys, fmt, base):
+    flags = ["--format", fmt, "--index-base", str(base)]
+    data, splits = tmp_path / "data", tmp_path / "splits"
+    assert run(["synth", "--dims", "30x30x16", "--rank", "4", "--density", "0.3",
+                "--noise-std", "0.05", "--outlier-rate", "0.05", "--outlier-scale", "10",
+                "--seed", "1", "--out", str(data)], capsys)[0] == 0
+    records = data / "observed.txt"
+    if fmt == "comma":  # the same records, comma-delimited and shifted to base
+        records = tmp_path / "records.csv"
+        records.write_text("".join(
+            ",".join([str(int(f) + base) for f in fields[:3]] + fields[3:]) + "\n"
+            for fields in map(str.split, (data / "observed.txt").read_text().splitlines())))
+    assert run(["split", "--input", str(records), "--ratios", "16:4:80", "--seed", "1",
+                "--out", str(splits), *flags], capsys)[0] == 0
+    model = tmp_path / "cauchy.model"
+    assert run(["train", "--train", str(splits / "train.txt"),
+                "--val", str(splits / "validation.txt"), "--dims", "30x30x16",
+                "--loss", "cauchy", "--rank", "4", "--gamma", "1", "--lambda", "0.1",
+                "--eta", "1", "--seed", "1", "--max-epochs", "20", "--model-out", str(model),
+                *flags], capsys)[0] == 0
+    assert run(["predict", "--model", str(model), "--entries", str(splits / "test.txt"),
+                "--out", str(tmp_path / "pred.txt"), *flags], capsys)[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _README_RECORD_DIGESTS[fmt, base]}
+    assert digests == _README_RECORD_DIGESTS[fmt, base]
 
 
 def test_malformed_input_exit_code_2(tmp_path, capsys):

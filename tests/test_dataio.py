@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftk import (
@@ -202,41 +202,78 @@ def test_write_predictions_uses_the_record_format():
     assert buf.getvalue() == "1,1,1,2,1,1\n"
 
 
-def _reference_rows(columns, sep):
-    # one row at a time, straight from the rule: ints via str, floats via fmt_real
+def _reference_rows(columns, sep, base=0):
+    # one row at a time, straight from the rule: ints via str, floats via fmt_real,
+    # base added to the first three columns in their dtype (int64 wraps)
     lines = []
     for r in range(len(columns[0])):
-        cells = [str(int(c[r])) if c.dtype.kind == "i" else fmt_real(c[r]) for c in columns]
+        cells = []
+        for m, c in enumerate(columns):
+            shift = base if m < 3 else 0
+            if c.dtype.kind == "i":
+                cells.append(str((int(c[r]) + shift + 2**63) % 2**64 - 2**63))
+            else:
+                cells.append(fmt_real(c[r] + shift if shift else c[r]))  # -0.0 + 0 is 0.0
         lines.append(sep.join(cells) + "\n")
     return "".join(lines)
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 1e16, 1e300, 3.0, -42.0, 0.0]
+_FLOAT_POOLS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).flatmap(
+    lambda floats: st.permutations(floats + _EDGE_FLOATS))
 
 
 @given(
     n_rows=st.sampled_from([0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
     sep=st.sampled_from([" ", ","]),
-    kinds=st.lists(st.sampled_from("if"), min_size=1, max_size=4),
+    base=st.sampled_from([0, 1]),
+    # "c", a run of consecutive small ints, is always drawn: a column the table formats
+    kinds=st.lists(st.sampled_from("icf"), max_size=3).flatmap(
+        lambda kinds: st.permutations(kinds + ["c"])),
     ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
-    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
-    data=st.data(),
+    run=st.tuples(st.integers(-50, 50), st.integers(1, 64)),
+    float_pool=_FLOAT_POOLS,
 )
+# hi - lo of this pool wraps to -1 in int64; it must take the per-value path
+@example(n_rows=_ROW_BLOCK + 1, sep=" ", base=0, kinds=["i", "c"],
+         ints=[-(2**63), 2**63 - 1], run=(0, 3), float_pool=_EDGE_FLOATS)
+@example(n_rows=_ROW_BLOCK + 1, sep=",", base=1, kinds=["c", "i", "f", "i"],
+         ints=[2**63 - 1, -(2**63)], run=(-2, 5), float_pool=_EDGE_FLOATS)
+# a small span whose top wraps once the base is added
+@example(n_rows=_ROW_BLOCK, sep=" ", base=1, kinds=["i", "c"],
+         ints=[2**63 - 2, 2**63 - 1], run=(0, 2), float_pool=_EDGE_FLOATS)
 @settings(max_examples=25, deadline=None)
-def test_write_rows_matches_per_row_formatting(n_rows, sep, kinds, ints, floats, data):
-    float_pool = data.draw(st.permutations(floats + _EDGE_FLOATS))
-    columns = [
-        np.resize(np.array(ints, dtype=np.int64), n_rows) if kind == "i"
-        else np.resize(np.array(float_pool, dtype=np.float64), n_rows)
-        for kind in kinds
-    ]
+def test_write_rows_matches_per_row_formatting(n_rows, sep, base, kinds, ints, run, float_pool):
+    start, width = run
+    pools = {"i": np.array(ints, dtype=np.int64),
+             "c": np.arange(start, start + width, dtype=np.int64),
+             "f": np.array(float_pool, dtype=np.float64)}
+    columns = [np.resize(pools[kind], n_rows) for kind in kinds]
     buf = io.StringIO()
-    write_rows(buf, columns, sep)
-    got, want = buf.getvalue(), _reference_rows(columns, sep)
+    write_rows(buf, columns, sep, base)
+    got, want = buf.getvalue(), _reference_rows(columns, sep, base)
     # line by line: a diff of two 4097-line strings would take minutes to report
     for row, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
         assert g == w, f"row {row}"
     assert len(got) == len(want)
+
+
+def test_integer_tables_stay_under_their_cap(tmp_path):
+    # a table for a column of 200,000 distinct values would hold about 12 MB
+    # of strings; past _TABLE_MAX values the column is formatted per value
+    n = 200_000
+    rows = np.arange(n)
+    columns = [rows, rows % 4532, rows % 64, rows % 7]
+    path = tmp_path / "rows.txt"
+    with path.open("w") as fh:
+        tracemalloc.start()
+        try:
+            write_rows(fh, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_text() == _reference_rows(columns, " ")
+    assert peak <= 2 * 2**20
 
 
 def test_base1_coordinates_are_shifted_block_by_block(tmp_path):
