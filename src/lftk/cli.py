@@ -32,7 +32,7 @@ from .dataio import (
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
 from .model import LOSS_MODES, load_model, save_model
-from .tensor import SparseTensor
+from .tensor import SparseTensor, _cell_keys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,12 +200,8 @@ def cmd_eval(args):
         raise DataFormatError("no records found in the test file")
     print(f"mae {fmt_real(mae(model, tensor))}")
     if args.mask:
-        # a triple outside the model's dims would alias a real cell once raveled;
-        # object arrays compare the parser's Python ints, however large, exactly
-        tri = np.array(list(load_outlier_mask(args.mask)), dtype=object).reshape(-1, 3)
-        inside = ((tri >= 0) & (tri < np.array(model.dims, dtype=object))).all(axis=1)
-        flagged = np.ravel_multi_index(tri[inside].astype(np.int64).T, model.dims)
-        keep = np.flatnonzero(~np.isin(np.ravel_multi_index(tensor.idx, model.dims), flagged))
+        flagged = _cell_keys(model.dims, load_outlier_mask(args.mask, model.dims).T)
+        keep = np.flatnonzero(~np.isin(_cell_keys(model.dims, tensor.idx), flagged))
         if not keep.size:
             raise DataFormatError("outlier mask flags every test entry; clean MAE undefined")
         clean = tensor.take(keep)

@@ -191,12 +191,12 @@ class SynthSpec:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.n_observed < 1:
             raise ValueError("density too low: no cells would be observed")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0 <= self.outlier_rate < 1:
             raise ValueError(f"outlier_rate must be in [0, 1), got {self.outlier_rate}")
-        if not self.outlier_scale > 1:
-            raise ValueError(f"outlier_scale must be > 1, got {self.outlier_scale}")
+        if not 1 < self.outlier_scale < math.inf:
+            raise ValueError(f"outlier_scale must be finite and > 1, got {self.outlier_scale}")
 
     @property
     def n_cells(self):
@@ -261,22 +261,24 @@ def write_outlier_mask(tensor, mask, sink):
         write_rows(fh, tensor.idx[:, mask])
 
 
-def load_outlier_mask(source):
-    """Read flagged coordinates back as a set of (i, j, k) triples."""
+def load_outlier_mask(source, dims):
+    """The flagged triples that name a cell of ``dims``, as ``(n, 3)`` int64 rows in file order."""
     with _text_stream(source) as fh:
         lines = list(fh)
     # numpy parses all after the leading "#" lines; the line parser reruns on a rejection
     body = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), lines)
     arr = loadtxt_or_none(list(body), np.int64, ndmin=2)
     if arr is not None and arr.shape[1:] == (3,):
-        return set(map(tuple, arr.tolist()))
-    triples = set()
+        return arr[((arr >= 0) & (arr < np.array(dims))).all(axis=1)]
+    rows = []
     for lineno, fields in _record_lines(lines, " ", 3):
         try:
-            triples.add(tuple(int(f) for f in fields))
+            row = [int(f) for f in fields]
         except ValueError:
             raise DataFormatError(f"line {lineno}: non-integer field") from None
-    return triples
+        if all(0 <= v < d for v, d in zip(row, dims)):
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def write_split_metadata(sink, spec, n_entries):

@@ -162,21 +162,21 @@ def check_coords(mode, row, dim, error=ValueError):
         raise error(f"{mode} index {int(bad)} out of range for dimension {dim}")
 
 
-def _check_duplicates(dims, idx):
-    # sorted by (i, j, k): through the raveled index while I*J*K fits in int64
+def _cell_keys(dims, idx):
+    # one key per in-range (i, j, k) column, equal and sorted as the cells are: the
+    # raveled index while I*J*K fits in int64, else the three as 24 big-endian bytes
     if math.prod(dims) < 2**63:
-        ravel = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
-        order = np.argsort(ravel, kind="stable")
-        srt = ravel[order]
-        same = srt[1:] == srt[:-1]
-    else:
-        order = np.lexsort(idx[::-1])
-        srt = idx[:, order]
-        same = (srt[:, 1:] == srt[:, :-1]).all(axis=0)
-    dup = np.nonzero(same)[0]
+        return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+    return np.ascontiguousarray(idx.T, dtype=">i8").view("V24")[:, 0]
+
+
+def _check_duplicates(dims, idx):
+    keys = _cell_keys(dims, idx)
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    dup = np.flatnonzero(srt[1:] == srt[:-1])
     if dup.size:
-        p = order[dup[0]]
-        raise ValueError(f"duplicate entry at {tuple(idx[:, p].tolist())}")
+        raise ValueError(f"duplicate entry at {tuple(idx[:, order[dup[0]]].tolist())}")
 
 
 def build_tensor(dims, entries):

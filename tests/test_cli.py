@@ -8,7 +8,8 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from lftk import FactorModel, SynthSpec, TrainConfig
+from lftk import FactorModel, SynthSpec, TrainConfig, build_tensor, load_records, mae
+from lftk._util import fmt_real
 from lftk.cli import _write_json, build_parser, main
 
 
@@ -316,6 +317,38 @@ def test_eval_mask_triples_outside_the_model_flag_nothing(tmp_path, capsys):
         clean.append(stdout.splitlines()[1])
     assert clean == ["clean_mae 3", "clean_mae 3", "clean_mae 4", "clean_mae 4"]
 
+
+def test_eval_mask_works_where_the_raveled_index_would_wrap(tmp_path, capsys, monkeypatch):
+    # I*J*K = 2**63: cells are compared by their bytes, not raveled
+    dims = (2**21,) * 3
+    monkeypatch.setattr("lftk.cli.load_model", lambda path: FactorModel.initialize(dims, 1, 0))
+    test_file, mask_file = tmp_path / "t.txt", tmp_path / "mask.txt"
+    test_file.write_text("0 0 0 1\n2097151 5 1 2\n1 0 0 3\n")
+    mask_file.write_text("2097151 5 1\n0 0 2097152\n")
+    code, stdout, err = run(["eval", "--model", "m", "--test", str(test_file),
+                             "--mask", str(mask_file)], capsys)
+    assert (code, err) == (0, "")
+    model = FactorModel.initialize(dims, 1, 0)
+    full = load_records(test_file, dims=dims)
+    clean = build_tensor(dims, [(0, 0, 0, 1.0), (1, 0, 0, 3.0)])  # (2097151, 5, 1) is flagged
+    assert stdout.splitlines() == [f"mae {fmt_real(mae(model, full))}",
+                                   f"clean_mae {fmt_real(mae(model, clean))}"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--noise-std", "nan"], "noise_std must be finite and >= 0, got nan"),
+    (["--noise-std", "inf"], "noise_std must be finite and >= 0, got inf"),
+    (["--outlier-scale", "inf", "--outlier-rate", "0.1"],
+     "outlier_scale must be finite and > 1, got inf"),
+    (["--outlier-scale", "nan"], "outlier_scale must be finite and > 1, got nan"),
+])
+def test_synth_rejects_non_finite_noise_and_scale_before_writing(tmp_path, capsys, flags,
+                                                                 message):
+    out = tmp_path / "d"
+    code, _, err = run(["synth", "--dims", "4x4x4", "--rank", "1", "--density", "0.5",
+                        *flags, "--out", str(out)], capsys)
+    assert (code, err) == (1, f"lftk: error: {message}\n")
+    assert not out.exists()
 
 # sha256 of the files the README pipeline writes through the record writer,
 # in each record format; recorded when coordinates were formatted by str per value

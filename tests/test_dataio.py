@@ -132,6 +132,11 @@ def test_synthesize_validation():
         SynthSpec(dims=(4, 4, 4), rank=1, density=1.0, outlier_rate=1.0)
     with pytest.raises(ValueError, match="outlier_scale"):
         SynthSpec(dims=(4, 4, 4), rank=1, density=1.0, outlier_scale=1.0)
+    for field in ("noise_std", "outlier_scale"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                SynthSpec(dims=(4, 4, 4), rank=1, density=0.5, outlier_rate=0.1,
+                          **{field: value})
 
 
 def test_synthesize_clamps_noise_at_zero():
@@ -171,11 +176,10 @@ def test_outlier_mask_roundtrip(tmp_path):
     obs, _, mask = synthesize(spec)
     path = tmp_path / "outliers.txt"
     write_outlier_mask(obs, mask, path)
-    flagged = load_outlier_mask(path)
-    expected = {
-        (int(obs.i[p]), int(obs.j[p]), int(obs.k[p])) for p in np.nonzero(mask)[0]
-    }
-    assert flagged == expected
+    flagged = load_outlier_mask(path, obs.dims)
+    expected = [[int(obs.i[p]), int(obs.j[p]), int(obs.k[p])] for p in np.nonzero(mask)[0]]
+    assert flagged.dtype == np.int64
+    assert flagged.tolist() == expected
 
 
 def test_split_metadata_byte_layout(tmp_path):
@@ -493,7 +497,7 @@ def test_binary_streams_stay_open_after_parsing():
     # so collecting it does not close the caller's stream
     records, mask = io.BytesIO(b"0 0 0 1\n"), io.BytesIO(b"# flagged\n0 0 0\n")
     load_records(records)
-    load_outlier_mask(mask)
+    load_outlier_mask(mask, (1, 1, 1))
     gc.collect()
     assert not records.closed and not mask.closed
     bad = io.BytesIO(b"0 0 x 1\n")
@@ -503,17 +507,18 @@ def test_binary_streams_stay_open_after_parsing():
     assert not bad.closed
 
 
-def _mask_line_by_line(source):
+def _mask_line_by_line(source, dims):
     # load_outlier_mask with the bulk parse switched off: the reference path
     with mock.patch.object(dataio, "loadtxt_or_none", lambda *args, **kwargs: None):
-        return load_outlier_mask(source)
+        return load_outlier_mask(source, dims)
 
 
-def _mask_outcome(load, source):
+def _mask_outcome(load, source, dims):
     try:
-        return load(source)
+        rows = load(source, dims)
     except DataFormatError as exc:
         return "error", str(exc)
+    return rows.dtype, rows.shape, rows.tolist()
 
 
 _MASK_FIELDS = st.one_of(
@@ -540,14 +545,26 @@ def _mask_files(draw):
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
 
 
-@given(text=_mask_files(), as_bytes=st.booleans())
+def _edge_triples(*values):
+    return "".join(f"{v} 0 1\n1 {v} 0\n0 1 {v}\n" for v in values)
+
+
+_INT64_EDGES = (-(2**63), 2**63 - 1, 2**63 - 2, 7)  # the bulk parse takes these
+_WIDEST = (2**63 - 1,) * 3
+
+
+@given(text=_mask_files(), as_bytes=st.booleans(),
+       dims=st.one_of(st.tuples(*[st.integers(1, 41)] * 3), st.just(_WIDEST)))
+@example(text=_edge_triples(2**63, -(2**63) - 1, *_INT64_EDGES), as_bytes=False, dims=_WIDEST)
+@example(text=_edge_triples(*_INT64_EDGES), as_bytes=True, dims=_WIDEST)
+@example(text=_edge_triples(*_INT64_EDGES), as_bytes=False, dims=(2**63 - 1, 2, 8))
 @settings(max_examples=150, deadline=None)
-def test_bulk_mask_parse_agrees_with_the_line_parser(text, as_bytes):
+def test_bulk_mask_parse_agrees_with_the_line_parser(text, as_bytes, dims):
     def source():
         return io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
 
-    assert _mask_outcome(load_outlier_mask, source()) == _mask_outcome(_mask_line_by_line,
-                                                                        source())
+    assert _mask_outcome(load_outlier_mask, source(), dims) == _mask_outcome(
+        _mask_line_by_line, source(), dims)
 
 
 def test_mask_files_parse_in_one_call(tmp_path):
@@ -556,6 +573,7 @@ def test_mask_files_parse_in_one_call(tmp_path):
     path = tmp_path / "outliers.txt"
     write_outlier_mask(obs, mask, path)
     with mock.patch.object(dataio, "_record_lines", side_effect=AssertionError):
-        flagged = load_outlier_mask(path)
-    assert flagged == {tuple(c) for c in obs.idx[:, mask].T.tolist()}
+        flagged = load_outlier_mask(path, obs.dims)
+    assert flagged.dtype == np.int64
+    assert flagged.tolist() == obs.idx[:, mask].T.tolist()
     assert len(flagged) == int(mask.sum())

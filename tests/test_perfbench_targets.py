@@ -80,3 +80,14 @@ def test_every_span_records_a_call_in_a_small_pipeline(tmp_path):
     called = {s[spans.NAME] for s in tracer.spans}
     missing = sorted({name for _, _, name, _ in spans.TARGETS} - called)
     assert not missing, f"spans that recorded no call: {missing}"
+
+
+def test_mask_counter_counts_one_record_per_flagged_triple(tmp_path):
+    # _Anything has length 0, so only a real mask shows the count is rows, not columns
+    path = tmp_path / "outliers.txt"
+    path.write_text("# flagged entries: i j k (0-based)\n0 1 2\n3 0 1\n")
+    counter = next(c for owner, attr, _, c in spans.TARGETS
+                   if owner is lftk.cli and attr == "load_outlier_mask")
+    flagged = lftk.cli.load_outlier_mask(path, (4, 4, 4))
+    assert counter((path, (4, 4, 4)), {}, flagged) == {"records": 2,
+                                                       "bytes_read": path.stat().st_size}

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftk import Entry, SparseTensor, SplitSpec, build_tensor, split
-from lftk.tensor import MODES, entry_arrays
+from lftk.tensor import MODES, _cell_keys, entry_arrays
 
 
 def test_single_entry_build():
@@ -32,6 +32,48 @@ def test_distinct_triples_are_not_duplicates_when_the_raveled_index_would_wrap()
     entries = [(2**21, 5, 1, 1.0), (0, 2**20, 0, 1.0), (2**21, 5, 1, 2.0), (0, 2**20, 0, 3.0)]
     with pytest.raises(ValueError, match=r"^duplicate entry at \(0, 1048576, 0\)$"):
         build_tensor(dims, entries)
+
+
+def test_a_duplicate_is_named_in_ijk_order_past_int64():
+    # the byte keys are big-endian: little-endian bytes would put 256 before 1
+    dims = (2**63 - 1,) * 3
+    entries = [(256, 0, 7, 1.0), (1, 2**62, 0, 1.0), (256, 0, 7, 2.0), (1, 2**62, 0, 2.0)]
+    with pytest.raises(ValueError, match=r"^duplicate entry at \(1, 4611686018427387904, 0\)$"):
+        build_tensor(dims, entries)
+
+
+_DIMS = st.one_of(st.integers(1, 8), st.integers(1, 2**21), st.integers(1, 2**63 - 1),
+                  st.sampled_from([2**8, 2**21, 2**32, 2**62, 2**63 - 1]))
+
+
+@st.composite
+def _cell_columns(draw):
+    # dims on both sides of I*J*K = 2**63; each mode draws from a few values,
+    # byte edges among them, so that equal columns occur
+    dims = draw(st.tuples(_DIMS, _DIMS, _DIMS))
+    pools = [draw(st.lists(st.one_of(st.integers(0, d - 1),
+                                     st.sampled_from([0, 1, 255, 256, 2**31, 2**62]).map(
+                                         lambda v, d=d: min(v, d - 1))),
+                           min_size=1, max_size=3))
+             for d in dims]
+    n = draw(st.integers(0, 12))
+    idx = np.array([[draw(st.sampled_from(pool)) for _ in range(n)] for pool in pools],
+                   dtype=np.int64).reshape(3, n)
+    return dims, idx
+
+
+@given(cells=_cell_columns())
+@example(cells=((2**21,) * 3, np.array([[2**21 - 1, 0, 1], [5, 2**20, 0], [1, 0, 0]])))
+@example(cells=((2**21, 2**21, 2**21 - 1), np.array([[2**21 - 1, 0, 2**21 - 1],
+                                                      [5, 2**20, 5], [1, 0, 1]])))
+@settings(max_examples=200, deadline=None)
+def test_cell_keys_are_equal_for_equal_cells_and_sort_in_ijk_order(cells):
+    dims, idx = cells
+    keys = _cell_keys(dims, idx)
+    assert keys.shape == (idx.shape[1],)
+    same_cell = (idx[:, :, None] == idx[:, None, :]).all(axis=0)
+    assert np.array_equal(keys[:, None] == keys[None, :], same_cell)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(idx[::-1]))
 
 
 @pytest.mark.parametrize("dims", [(2**70, 1, 1), (1, 2**63, 1), (0, 1, 1), (1, 1, -2)])
