@@ -124,12 +124,15 @@ def cmd_split(args):
     spec = SplitSpec(m, n, o, seed=args.seed)
     fmt = _record_format(args)
     tensor = load_records(args.input, fmt)
-    train_t, val_t, test_t = split(tensor, spec)
+    n_entries, dims = tensor.n_entries, tensor.dims
+    parts = list(split(tensor, spec))
+    del tensor  # and each part once it is written, before the input is hashed
+    counts = [part.n_entries for part in parts]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, part in (("train", train_t), ("validation", val_t), ("test", test_t)):
-        write_records(part, out / f"{name}.txt", fmt)
-    write_split_metadata(out / "split.json", spec, tensor.n_entries)
+    for name in ("train", "validation", "test"):
+        write_records(parts.pop(0), out / f"{name}.txt", fmt)
+    write_split_metadata(out / "split.json", spec, n_entries)
     _write_manifest(
         out / "manifest.json",
         "split",
@@ -137,13 +140,12 @@ def cmd_split(args):
             "ratios": [m, n, o],
             "format": args.format,
             "index_base": args.index_base,
-            "dims": list(tensor.dims),
+            "dims": list(dims),
         },
         [args.input],
         spec.seed,
     )
-    print(f"split {tensor.n_entries} entries -> "
-          f"{train_t.n_entries}/{val_t.n_entries}/{test_t.n_entries}")
+    print(f"split {n_entries} entries -> " + "/".join(map(str, counts)))
     return EXIT_OK
 
 

@@ -99,21 +99,40 @@ def _parse_records(lines, fmt):
     return ii, jj, kk, yy
 
 
-def _bulk_records(lines, fmt):
-    # The whole stream in one np.loadtxt call, or None wherever _parse_records
-    # might disagree or would raise: a "#" line, a parse error, a failed check
-    # or no records at all. What it accepts, _parse_records builds bit for bit.
-    rec = loadtxt_or_none(lines, _RECORD_DTYPE, None if fmt.sep == " " else fmt.sep)
-    if rec is None or not rec.size:
-        return None
-    ii, jj, kk, yy = (rec[f] for f in _RECORD_DTYPE.names)
+# records per np.loadtxt call of the bulk parse: a block's record array is 512 KiB
+_PARSE_BLOCK = 1 << 14
+
+
+def _bulk_records(lines, n_lines, fmt):
+    # ((3, n) int64 coordinates, n float64 values) of the records among the
+    # n_lines lines, parsed by np.loadtxt _PARSE_BLOCK lines at a time into arrays
+    # allocated once; or None wherever _parse_records might disagree or would
+    # raise: a "#" line, a parse error, a failed check, no records at all, or more
+    # lines than counted. What it accepts, _parse_records builds bit for bit.
+    idx, y = np.empty((3, n_lines), np.int64), np.empty(n_lines)
+    lines, n = iter(lines), 0  # one iterator: loadtxt reads a list from its start
+    sep = None if fmt.sep == " " else fmt.sep
+    # A block starts at a non-blank line, so the end of input ends the loop, not
+    # an empty block, on which loadtxt warns (a decline). islice, not max_rows,
+    # which warns about blank lines, cuts a block to the rows still free: none
+    # once more lines than counted have come, which declines.
+    while (first := next((line for line in lines if line.strip()), None)) is not None:
+        block = itertools.islice(itertools.chain((first,), lines), min(_PARSE_BLOCK, n_lines - n))
+        rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
+        if rec is None:
+            return None
+        for row, name in zip(idx, "ijk"):
+            row[n : n + rec.size] = rec[name]
+        y[n : n + rec.size] = rec["y"]
+        n += rec.size
+    if n < n_lines:  # blank lines left rows unused
+        idx, y = idx[:, :n].copy(), y[:n].copy()
     base = fmt.index_base
-    if min(ii.min(), jj.min(), kk.min()) < base or not np.isfinite(yy).all() or yy.min() < 0:
+    if not n or idx.min() < base or not np.isfinite(y).all() or y.min() < 0:
         return None
     if base:
-        for c in (ii, jj, kk):
-            c -= base
-    return ii, jj, kk, yy
+        idx -= base
+    return idx, y
 
 
 def _rewindable(fh):
@@ -127,6 +146,22 @@ def _rewindable(fh):
     return fh.readlines(), None
 
 
+def _count_lines(fh, start):
+    # The lines from start on, as iterating fh splits them; fh is left at start. A
+    # stream that does not decode gets a partial count: iterating it raises the
+    # error again, at the byte position that the line parser's reads give.
+    n, last = 0, "\n"
+    try:
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
+            # numpy counts the "\n" bytes of the UTF-8 in a quarter of str.count's time
+            raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+            n, last = n + np.count_nonzero(raw == 10), chunk[-1]
+    except UnicodeDecodeError:
+        pass
+    fh.seek(start)
+    return n + (last != "\n")
+
+
 def load_records(source, fmt=RecordFormat(), dims=None):
     """Parse a record stream into a :class:`SparseTensor`.
 
@@ -137,25 +172,31 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     values, and out-of-base indices are rejected with their line number;
     duplicate coordinates are rejected when the tensor is built.
 
-    The whole stream is parsed by numpy in one call; a stream it does not
-    accept (comment lines included) is parsed again line by line, which
-    gives the same tensor or the line-numbered error.
+    The lines are counted first (a stream in one read pass, then a seek
+    back), and numpy parses the records in blocks straight into the arrays
+    the tensor keeps; a stream it does not accept (comment lines included)
+    is parsed again line by line, which gives the same tensor or the
+    line-numbered error.
     """
     with _text_stream(source) as fh:
         lines, start = _rewindable(fh)
-        columns = _bulk_records(lines, fmt)
-        if columns is None:
+        n_lines = len(lines) if start is None else _count_lines(lines, start)
+        bulk = _bulk_records(lines, n_lines, fmt)
+        if bulk is None:
             if start is not None:
                 lines.seek(start)
-            columns = _parse_records(lines, fmt)
-    ii, jj, kk, yy = columns
+            ii, jj, kk, yy = _parse_records(lines, fmt)
     if dims is None:
-        if not len(yy):
+        if bulk is not None:
+            dims = tuple(int(m) + 1 for m in bulk[0].max(axis=1))
+        elif not yy:
             raise DataFormatError("no records found and no dims given")
-        # the line parser's lists hold Python ints of any size: max, not np.max
-        dims = tuple((max(c) if isinstance(c, list) else int(c.max())) + 1
-                     for c in (ii, jj, kk))
+        else:  # the line parser's lists hold Python ints of any size: max, not np.max
+            dims = tuple(max(c) + 1 for c in (ii, jj, kk))
     try:
+        if bulk is not None:
+            idx, y = bulk
+            return SparseTensor.from_arrays(dims, *idx, y, _adopt=idx)
         return SparseTensor.from_arrays(dims, ii, jj, kk, yy)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
@@ -230,16 +271,22 @@ def synthesize(spec):
         np.zeros(nk),
     )
     n = spec.n_observed
-    flat = np.sort(rng.choice(spec.n_cells, size=n, replace=False))
-    ii, jj, kk = np.unravel_index(flat, spec.dims)
-    y = truth.predict_entries(ii, jj, kk)
-    y = np.maximum(y + rng.normal(0.0, spec.noise_std, n), 0.0)
+    flat = rng.choice(spec.n_cells, size=n, replace=False)
+    flat.sort()
+    # unraveled into the rows of the block the tensor keeps: k, then j and i
+    idx = np.empty((3, n), np.int64)
+    np.divmod(flat, nk, out=(flat, idx[2]))
+    np.divmod(flat, nj, out=(idx[0], idx[1]))
+    del flat
+    y = truth.predict_entries(*idx)
+    y += rng.normal(0.0, spec.noise_std, n)
+    np.maximum(y, 0.0, out=y)
     mask = np.zeros(n, dtype=bool)
     n_out = int(math.floor(spec.outlier_rate * n + 1e-9))
     if n_out:
         mask[rng.choice(n, size=n_out, replace=False)] = True
         y[mask] *= spec.outlier_scale
-    observed = SparseTensor.from_arrays(spec.dims, ii, jj, kk, y)
+    observed = SparseTensor.from_arrays(spec.dims, *idx, y, _adopt=idx)
     return observed, truth, mask
 
 

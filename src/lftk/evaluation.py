@@ -96,16 +96,14 @@ def split(tensor, spec):
     """Seed-deterministic random partition into train/validation/test tensors.
 
     The entry positions are shuffled with numpy's default PCG64 generator
-    seeded by ``spec.seed`` (one ``permutation`` call), cut at the sizes
-    from :func:`split_sizes`, and each subset keeps the source entry
-    order. The three outputs are disjoint and cover the input exactly.
+    seeded by ``spec.seed`` (one ``permutation`` call) and cut at the sizes
+    from :func:`split_sizes`; each subset keeps the source entry order. The
+    permutation is dropped once it is cut, and each subset's positions once
+    the subset is taken. The three outputs are disjoint and cover the input
+    exactly.
     """
-    n = tensor.n_entries
-    n_train, n_val, _ = split_sizes(n, spec)
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    parts = (
-        np.sort(perm[:n_train]),
-        np.sort(perm[n_train : n_train + n_val]),
-        np.sort(perm[n_train + n_val :]),
-    )
-    return tuple(tensor.take(p) for p in parts)
+    n_train, n_val, _ = split_sizes(tensor.n_entries, spec)
+    perm = np.random.default_rng(spec.seed).permutation(tensor.n_entries)
+    positions = [np.sort(p) for p in np.split(perm, [n_train, n_train + n_val])]
+    del perm
+    return tuple(tensor.take(positions.pop(0)) for _ in range(3))

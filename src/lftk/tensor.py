@@ -50,21 +50,26 @@ class SparseTensor:
         idx.flags.writeable = y.flags.writeable = False
 
     @classmethod
-    def from_arrays(cls, dims, i, j, k, y):
+    def from_arrays(cls, dims, i, j, k, y, *, _adopt=None):
         """Validate coordinate arrays and build the tensor.
 
         Rejects out-of-range indices, negative or non-finite values, and
         duplicate (i, j, k) triples (silent aggregation would change the
         per-entity entry counts that the optimizer's constants are built
-        from).
+        from). The tensor keeps private copies of the arrays.
         """
         dims = tuple(int(d) for d in dims)
         if len(dims) != 3 or not all(0 < d < 2**63 for d in dims):
             raise ValueError(f"dims must be three positive integers below 2**63, got {dims}")
-        # Private copies: the tensor freezes its arrays and must not alias
-        # caller-owned storage. One call, so list input is held only once.
-        idx = np.array((i, j, k))
-        y = np.array(y, dtype=np.float64)
+        if _adopt is None:
+            # Private copies: the tensor freezes its arrays and must not alias
+            # caller-owned storage. One call, so list input is held only once.
+            idx = np.array((i, j, k))
+            y = np.array(y, dtype=np.float64)
+        else:
+            # load_records and synthesize pass the (3, n) int64 block whose rows
+            # are i, j, k, and float64 values, both made for this tensor: kept as is
+            idx = _adopt
         if idx.ndim != 2 or y.shape != idx.shape[1:]:
             raise ValueError("coordinate arrays must be equal-length 1-D")
         for mode, row, dim in zip(MODES, idx, dims):
@@ -163,20 +168,26 @@ def check_coords(mode, row, dim, error=ValueError):
 
 
 def _cell_keys(dims, idx):
-    # one key per in-range (i, j, k) column, equal and sorted as the cells are: the
-    # raveled index while I*J*K fits in int64, else the three as 24 big-endian bytes
+    # one fresh key per in-range (i, j, k) column, equal and sorted as the cells are:
+    # the raveled index while I*J*K fits in int64, else the three as 24 big-endian bytes
     if math.prod(dims) < 2**63:
-        return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+        keys = idx[0] * dims[1]
+        keys += idx[1]
+        keys *= dims[2]
+        keys += idx[2]
+        return keys
     return np.ascontiguousarray(idx.T, dtype=">i8").view("V24")[:, 0]
 
 
 def _check_duplicates(dims, idx):
+    # Sorted in place: stable sorting is linear on the ordered files lftk writes. Only
+    # a duplicate makes the keys anew, to name the smallest duplicated cell.
     keys = _cell_keys(dims, idx)
-    order = np.argsort(keys, kind="stable")
-    srt = keys[order]
-    dup = np.flatnonzero(srt[1:] == srt[:-1])
+    keys.sort(kind="stable")
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
-        raise ValueError(f"duplicate entry at {tuple(idx[:, order[dup[0]]].tolist())}")
+        pos = np.flatnonzero(_cell_keys(dims, idx) == keys[dup[0]])[0]
+        raise ValueError(f"duplicate entry at {tuple(idx[:, pos].tolist())}")
 
 
 def build_tensor(dims, entries):

@@ -21,6 +21,9 @@ def test_single_entry_build():
 def test_duplicate_triple_rejected_naming_triple():
     with pytest.raises(ValueError, match=r"\(0, 0, 0\)"):
         build_tensor((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 2.0)])
+    # of several duplicated cells, the (i, j, k)-smallest is named
+    with pytest.raises(ValueError, match=r"^duplicate entry at \(0, 2, 1\)$"):
+        build_tensor((4, 4, 4), [(3, 1, 0, 1.0), (0, 2, 1, 1.0), (3, 1, 0, 2.0), (0, 2, 1, 2.0)])
 
 
 def test_distinct_triples_are_not_duplicates_when_the_raveled_index_would_wrap():
