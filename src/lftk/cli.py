@@ -296,7 +296,7 @@ def main(argv=None):
         # overflow is reported by the divergence check (exit 3), not by numpy
         with np.errstate(all="ignore"):
             return args.func(args)
-    except DataFormatError as exc:
+    except (DataFormatError, UnicodeDecodeError) as exc:  # ValueErrors both: this arm first
         print(f"lftk: input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (OSError, ValueError, IndexError, MemoryError) as exc:

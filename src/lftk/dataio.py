@@ -12,6 +12,8 @@ import io
 import itertools
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +137,24 @@ def _bulk_records(lines, n_lines, fmt):
     return idx, y
 
 
+@contextlib.contextmanager
 def _rewindable(fh):
-    # (lines, position to seek back to); a stream that cannot seek is read
-    # into a list of its lines, so either parser can read it.
+    # (stream, position to seek back to): fh itself, or a temporary copy of what
+    # is left of a stream that cannot seek. The copy holds any str and keeps line
+    # ends as they are, so it splits lines as fh does when fh reads universal
+    # newlines (the default) or newline="".
     try:
-        if fh.seekable():
-            return fh, fh.tell()
+        start = fh.tell() if fh.seekable() else None
     except OSError:  # tell() after a caller's next()
-        pass
-    return fh.readlines(), None
+        start = None
+    if start is not None:
+        yield fh, start
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
+                                newline="") as copy:
+        shutil.copyfileobj(fh, copy, 1 << 16)
+        copy.seek(0)
+        yield copy, 0
 
 
 def _count_lines(fh, start):
@@ -173,19 +184,17 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     duplicate coordinates are rejected when the tensor is built.
 
     The lines are counted first (a stream in one read pass, then a seek
-    back), and numpy parses the records in blocks straight into the arrays
+    back; a stream that cannot seek is copied to a temporary file first),
+    and numpy parses the records in blocks straight into the arrays
     the tensor keeps; a stream it does not accept (comment lines included)
     is parsed again line by line, which gives the same tensor or the
     line-numbered error.
     """
-    with _text_stream(source) as fh:
-        lines, start = _rewindable(fh)
-        n_lines = len(lines) if start is None else _count_lines(lines, start)
-        bulk = _bulk_records(lines, n_lines, fmt)
+    with _text_stream(source) as raw, _rewindable(raw) as (fh, start):
+        bulk = _bulk_records(fh, _count_lines(fh, start), fmt)
         if bulk is None:
-            if start is not None:
-                lines.seek(start)
-            ii, jj, kk, yy = _parse_records(lines, fmt)
+            fh.seek(start)
+            ii, jj, kk, yy = _parse_records(fh, fmt)
     if dims is None:
         if bulk is not None:
             dims = tuple(int(m) + 1 for m in bulk[0].max(axis=1))
@@ -248,6 +257,57 @@ class SynthSpec:
         return int(math.floor(self.density * self.n_cells + 1e-9))
 
 
+# swap targets per rng.integers call when _sample_cells replays choice's shuffle
+_DRAW_BLOCK = 1 << 16
+
+
+def _sample_cells(rng, n_cells, n):
+    # np.sort(rng.choice(n_cells, size=n, replace=False)), leaving rng where that
+    # call leaves it, but without the arange(n_cells) that choice fills.
+    floyd = n_cells <= 10000 or n <= n_cells // 50  # choice's memory is O(n) here already
+    dense = 16 * n > n_cells  # from here on the replay below is no faster than choice
+    if floyd or dense:
+        flat = rng.choice(n_cells, size=n, replace=False)
+        flat.sort()
+        return flat
+    # choice fills arange(n_cells), then step s = 0, ..., n-1 swaps slot i = top - s
+    # with a target slot drawn from [0, i], and it keeps the n tail slots (first and
+    # up). The targets are these draws, made a block at a time:
+    top, first = n_cells - 1, n_cells - n
+    t = np.empty(n, np.int64)
+    for s in range(0, n, _DRAW_BLOCK):
+        e = min(s + _DRAW_BLOCK, n)
+        t[s:e] = rng.integers(0, np.arange(top - s, top - e, -1), endpoint=True)
+    # A step outputs what its target slot holds. A head slot (below first) holds its
+    # own index until a step takes it, so a step whose head target no other step
+    # takes outputs its target, as t already says: nearly every step at this density.
+    # Head targets taken again are marked in a bitmap of n_cells bits.
+    again = np.sort(t)
+    again = again[1:][again[1:] == again[:-1]]
+    again = again[again < first]
+    bits = np.zeros(n_cells // 8 + 1, np.uint8)
+    np.bitwise_or.at(bits, again >> 3, (1 << (again & 7)).astype(np.uint8))
+    hits = np.flatnonzero(bits[t >> 3] >> (t & 7).astype(np.uint8) & 1)
+    # Steps with a tail target read and write tail slots only: replayed in order in a
+    # dict of the tail slots they displaced.
+    tail = np.flatnonzero(t >= first)
+    moved = {}
+    get, pop = moved.get, moved.pop
+    out = t[tail].tolist()
+    for k, i in enumerate((top - tail).tolist()):
+        j = out[k]
+        out[k] = get(j, j)
+        moved[j] = pop(i, i)  # slot i is final once its step is made
+    t[tail] = out
+    # A head target taken again holds what its previous taker's slot held then, and
+    # only tail-target steps, all now replayed, had written to that slot.
+    hits = hits[np.argsort(t[hits], kind="stable")]  # by target, then by step
+    repeat = t[hits[1:]] == t[hits[:-1]]
+    t[hits[1:][repeat]] = [get(i, i) for i in (top - hits[:-1][repeat]).tolist()]
+    t.sort()
+    return t
+
+
 def synthesize(spec):
     """Generate (observed tensor, ground-truth model, outlier mask).
 
@@ -271,8 +331,7 @@ def synthesize(spec):
         np.zeros(nk),
     )
     n = spec.n_observed
-    flat = rng.choice(spec.n_cells, size=n, replace=False)
-    flat.sort()
+    flat = _sample_cells(rng, spec.n_cells, n)
     # unraveled into the rows of the block the tensor keeps: k, then j and i
     idx = np.empty((3, n), np.int64)
     np.divmod(flat, nk, out=(flat, idx[2]))
@@ -284,7 +343,7 @@ def synthesize(spec):
     mask = np.zeros(n, dtype=bool)
     n_out = int(math.floor(spec.outlier_rate * n + 1e-9))
     if n_out:
-        mask[rng.choice(n, size=n_out, replace=False)] = True
+        mask[_sample_cells(rng, n, n_out)] = True
         y[mask] *= spec.outlier_scale
     observed = SparseTensor.from_arrays(spec.dims, *idx, y, _adopt=idx)
     return observed, truth, mask

@@ -450,6 +450,18 @@ def test_record_index_beyond_int64_is_an_input_error(tmp_path, capsys, command):
     assert "2**63" in err
 
 
+def test_undecodable_record_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0 0 1\n1 1 1 \xff\n")
+    out = tmp_path / "s"
+    code, stdout, err = run(["split", "--input", str(bad), "--ratios", "1:1:1",
+                             "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("lftk: input error: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims", ["100000000000000000000x2x2", "2x9223372036854775808x2"])
 def test_dims_flag_beyond_int64_is_a_usage_error(tmp_path, capsys, dims):
     small = tmp_path / "small.txt"

@@ -1,6 +1,7 @@
 import gc
 import io
 import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -401,7 +402,7 @@ def _mid_file(tmp_path, text):
     lambda tmp_path: io.StringIO(_BLOCK_EDGES + "\n\n  \n"),  # trailing blank lines
     lambda tmp_path: io.StringIO(_BLOCK_RECORDS.rstrip("\n")),  # no final newline
     lambda tmp_path: io.BytesIO(_BLOCK_EDGES.encode()),
-    lambda tmp_path: _pipe(_BLOCK_EDGES),  # cannot seek: read as a list of lines
+    lambda tmp_path: _pipe(_BLOCK_EDGES),  # cannot seek: copied to a temporary file
     lambda tmp_path: _mid_file(tmp_path, _BLOCK_EDGES),
 ], ids=["blank-at-block-edge", "trailing-blanks", "no-final-newline", "binary",
         "non-seekable", "opened-mid-file"])
@@ -566,6 +567,55 @@ def test_synthesize_peak_memory_per_entry():
     assert peak / observed.n_entries <= 52
 
 
+def test_synthesize_peak_memory_per_entry_at_five_percent_density():
+    # Above n_cells // 50 cells, rng.choice fills an arange of every cell (160 B per
+    # entry here, 171.6 B at the peak); replaying its shuffle from the swap targets
+    # alone leaves the tensor build to set the peak, measured at 45.6 B per entry
+    spec = SynthSpec(dims=(142, 4532, 8), rank=5, density=0.05, noise_std=0.05,
+                     outlier_rate=0.05, seed=1)
+    tracemalloc.start()
+    try:
+        observed, _, _ = synthesize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert observed.n_entries == 257_417
+    assert peak / observed.n_entries <= 52
+
+
+_WSDREAM_5 = SynthSpec(dims=(142, 4532, 64), rank=5, density=0.05)
+
+
+@st.composite
+def _sample_sizes(draw):
+    # (n_cells, n) on both sides of choice's regimes: Floyd's sampler up to
+    # n_cells // 50 cells or 10,000 in all, a tail shuffle above, which
+    # _sample_cells replays up to n_cells // 16 cells
+    n_cells = draw(st.sampled_from([10_000, 10_001]) | st.integers(1, 40_000))
+    edges = [0, 1, n_cells // 50, n_cells // 50 + 1, n_cells // 16 - 1, n_cells // 16,
+             n_cells // 16 + 1, n_cells]
+    n = draw(st.sampled_from(edges) | st.integers(n_cells // 50, n_cells // 16 + 1))
+    return n_cells, min(max(n, 0), n_cells)
+
+
+@given(sizes=_sample_sizes(), seed=st.integers(0, 2**63), predraws=st.integers(0, 3))
+@example(sizes=(_WSDREAM_5.n_cells, _WSDREAM_5.n_observed), seed=1, predraws=0)
+@example(sizes=(_WSDREAM_5.n_cells, _WSDREAM_5.n_observed), seed=9001, predraws=0)
+@settings(max_examples=300, deadline=None)
+def test_sample_cells_draws_what_choice_draws(sizes, seed, predraws):
+    # the same cells and the same generator state after, so synthesized data stay
+    # bit for bit; a numpy whose choice draws differently fails here
+    n_cells, n = sizes
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (want_rng, got_rng):  # 32-bit draws leave half a word buffered
+        rng.integers(0, 5, size=predraws)
+    want = np.sort(want_rng.choice(n_cells, size=n, replace=False))
+    got = dataio._sample_cells(got_rng, n_cells, n)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
     for text in ("0 0 0 1.5\n1 0 2 2\n", "# header\n0 0 0 1.5\n1 0 2 2\n"):
         r, w = os.pipe()
@@ -575,6 +625,36 @@ def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
             assert not pipe.seekable()
             t = load_records(pipe)
         assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0)]
+
+
+def test_load_records_from_a_pipe_peak_memory_per_record(tmp_path):
+    # a stream that cannot seek is copied to a temporary file in 64 KiB chunks and
+    # parsed from there, within the file path's bound: 41.1 B per record (125.1 B
+    # when its lines were read into a list)
+    ii, jj, kk = np.unravel_index(np.arange(200_000), (100, 100, 20))
+    y = np.random.default_rng(0).uniform(0, 5, ii.size)
+    path = tmp_path / "r.txt"
+    with path.open("w") as fh:
+        write_rows(fh, (ii, jj, kk, y))
+    data = memoryview(path.read_bytes())
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as sink:
+            sink.write(data)
+
+    tracemalloc.start()
+    try:
+        writer = threading.Thread(target=feed)
+        writer.start()
+        with os.fdopen(r, "r", encoding="utf-8") as pipe:
+            t = load_records(pipe)
+        writer.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n_entries == 200_000
+    assert peak / t.n_entries <= 48
 
 
 # ------------------------------------------------------------- outlier masks
