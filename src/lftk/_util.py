@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 _ROW_BLOCK = 1024
-_TABLE_MAX = 1 << 16  # strings in one int64 column's table, about 4 MB
+_TABLE_MAX = 1 << 16  # strings in one integer column's table, about 4 MB
 
 
 def fmt_real(x):
@@ -38,29 +38,32 @@ def _float_strs(block):
 
 def _block_formatter(col, base):
     # The function that turns a block of ``col`` into its strings, ``base`` added.
-    # An int64 column gets a table, str(v + base) at [v - lo], built once, when
-    # it spans fewer values than it has rows and than _TABLE_MAX. The bounds are
-    # Python ints, so hi - lo cannot wrap; where v + base would leave int64, the
-    # per-value path adds the base in int64, which wraps there.
-    if col.dtype == np.int64 and col.size:
+    # A signed integer column gets a table, str(v + base) at [v - lo], built once,
+    # when it spans fewer values than it has rows and than _TABLE_MAX. The bounds
+    # are Python ints and v - lo is made in int64, so neither wraps. Otherwise a
+    # signed integer column, the tensor's int16 or int32 ones too, takes its base
+    # in int64, which wraps only where v + base leaves int64.
+    signed = col.dtype.kind == "i"
+    if signed and col.size:
         lo, hi = int(col.min()), int(col.max())
         if hi - lo < min(col.size, _TABLE_MAX) and -(2**63) <= lo + base and hi + base < 2**63:
             table = np.array(list(map(str, range(lo + base, hi + base + 1))), dtype=object)
-            return lambda b: table[b - lo].tolist()
+            return lambda b: table.take(np.subtract(b, lo, dtype=np.int64)).tolist()
     fmt = _float_strs if col.dtype.kind == "f" else lambda b: map(str, b.tolist())
-    return (lambda b: fmt(b + base)) if base else fmt
+    wide = np.int64 if signed else None
+    return (lambda b: fmt(np.add(b, base, dtype=wide))) if base else fmt
 
 
 def write_rows(fh, columns, sep=" ", base=0):
     """One line per row of equal-length columns: ints via ``str``, floats as fmt_real.
 
-    ``base`` is added to the first three columns, a record's coordinates.
-    An int64 column that spans fewer values than it has rows (a coordinate
-    column spans at most its dim) is formatted through a table of its strings,
-    built once per call and capped at ``_TABLE_MAX`` strings; other integer
-    columns go through ``str`` per value. Rows become Python objects a block
-    at a time, never a whole column at once, and the shift is made block by
-    block too.
+    ``base`` is added to the first three columns, a record's coordinates, in
+    int64 for a signed integer column of any width. A signed integer column
+    that spans fewer values than it has rows (a coordinate column spans at most
+    its dim) is formatted through a table of its strings, built once per call
+    and capped at ``_TABLE_MAX`` strings; other integer columns go through
+    ``str`` per value. Rows become Python objects a block at a time, never a
+    whole column at once, and the shift is made block by block too.
     """
     columns = [np.asarray(c) for c in columns]
     formats = [_block_formatter(c, base if m < 3 else 0) for m, c in enumerate(columns)]

@@ -161,6 +161,15 @@ def cmd_train(args):
         # checked entries fit the wider dims, and duplicates do not depend on dims
         tensor_train, tensor_val = (SparseTensor(dims, t.idx, t.y, _validated=True)
                                     for t in (tensor_train, tensor_val))
+    # a validation cell that is also trained on would flatter the validation MAE;
+    # neither tensor holds a duplicate, so each one's keys are unique
+    val_keys = _cell_keys(dims, tensor_val.idx)
+    shared = np.intersect1d(_cell_keys(dims, tensor_train.idx), val_keys, assume_unique=True)
+    if shared.size:  # sorted as the cells are: the (i, j, k)-first, named as filed
+        pos = np.flatnonzero(val_keys == shared[0])[0]
+        cell = tuple(v + args.index_base for v in tensor_val.idx[:, pos].tolist())
+        raise DataFormatError(f"validation file shares the cell {cell} with the training file")
+    del val_keys, shared
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"

@@ -22,7 +22,7 @@ from ._util import _is_path, _open_sink, fmt_real, loadtxt_or_none, write_rows
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
-from .tensor import SparseTensor, entry_arrays
+from .tensor import SparseTensor, _index_dtype, entry_arrays
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,17 @@ _PARSE_BLOCK = 1 << 14
 
 
 def _bulk_records(lines, n_lines, fmt):
-    # ((3, n) int64 coordinates, n float64 values) of the records among the
-    # n_lines lines, parsed by np.loadtxt _PARSE_BLOCK lines at a time into arrays
+    # ((3, n) coordinates, n float64 values) of the records among the n_lines
+    # lines, parsed by np.loadtxt _PARSE_BLOCK lines at a time into arrays
     # allocated once; or None wherever _parse_records might disagree or would
     # raise: a "#" line, a parse error, a failed check, no records at all, or more
-    # lines than counted. What it accepts, _parse_records builds bit for bit.
-    idx, y = np.empty((3, n_lines), np.int64), np.empty(n_lines)
+    # lines than counted. What it accepts, _parse_records builds bit for bit. The
+    # coordinates, base already taken off, start as int16 and are widened whenever
+    # a block holds an index that their type does not, so no int64 copy of the file
+    # is ever held; they end in the type that the inferred dims imply.
+    idx, y = np.empty((3, n_lines), np.int16), np.empty(n_lines)
     lines, n = iter(lines), 0  # one iterator: loadtxt reads a list from its start
-    sep = None if fmt.sep == " " else fmt.sep
+    sep, base = None if fmt.sep == " " else fmt.sep, fmt.index_base
     # A block starts at a non-blank line, so the end of input ends the loop, not
     # an empty block, on which loadtxt warns (a decline). islice, not max_rows,
     # which warns about blank lines, cuts a block to the rows still free: none
@@ -123,17 +126,20 @@ def _bulk_records(lines, n_lines, fmt):
         rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
         if rec is None:
             return None
-        for row, name in zip(idx, "ijk"):
-            row[n : n + rec.size] = rec[name]
+        coords = [rec[name] for name in "ijk"]
+        if min(c.min() for c in coords) < base:
+            return None
+        wide = _index_dtype((int(max(c.max() for c in coords)) - base + 1,))
+        if wide.itemsize > idx.itemsize:
+            idx = idx.astype(wide)
+        for row, c in zip(idx, coords):  # in range of the row's type: exact
+            np.subtract(c, base, out=row[n : n + rec.size], casting="unsafe")
         y[n : n + rec.size] = rec["y"]
         n += rec.size
     if n < n_lines:  # blank lines left rows unused
         idx, y = idx[:, :n].copy(), y[:n].copy()
-    base = fmt.index_base
-    if not n or idx.min() < base or not np.isfinite(y).all() or y.min() < 0:
+    if not n or not np.isfinite(y).all() or y.min() < 0:
         return None
-    if base:
-        idx -= base
     return idx, y
 
 
@@ -332,8 +338,9 @@ def synthesize(spec):
     )
     n = spec.n_observed
     flat = _sample_cells(rng, spec.n_cells, n)
-    # unraveled into the rows of the block the tensor keeps: k, then j and i
-    idx = np.empty((3, n), np.int64)
+    # unraveled into the rows of the block the tensor keeps, in the type it keeps
+    # them in: k, then j and i
+    idx = np.empty((3, n), _index_dtype(spec.dims))
     np.divmod(flat, nk, out=(flat, idx[2]))
     np.divmod(flat, nj, out=(idx[0], idx[1]))
     del flat

@@ -115,7 +115,10 @@ class FactorModel:
         coords = [np.asarray(c) for c in (ii, jj, kk)]
         for mode, c, dim in zip(MODES, coords, self.dims):
             check_coords(mode, c, dim, IndexError)
-        return _predict(self.blocks, *(c.astype(np.int64, copy=False) for c in coords))
+        # signed integers of any width, a tensor's int16 block too, are gathered as
+        # they are; checked whole floats and unsigned integers are made int64
+        return _predict(self.blocks, *(c if c.dtype.kind == "i" else c.astype(np.int64)
+                                       for c in coords))
 
     def residual(self, entry):
         """Observed minus predicted value; sign preserved."""

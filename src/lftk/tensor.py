@@ -1,11 +1,14 @@
 """Sparse third-order tensor storage in coordinate form.
 
 The observed entries of a user x service x time tensor are kept as one
-(3, n) int64 index block (rows user, service, time) next to the n values,
-and nothing else: per-mode entry counts (how many entries each user,
-service or time index has) are made on each call, once per training run.
-The positions of one entity's entries (its slice) are found on demand by
-a scan, which only the scalar reference updates use.
+(3, n) index block (rows user, service, time) next to the n values, and
+nothing else. The block has the narrowest of int16, int32 and int64 that
+holds every index the dims allow: int16 at the WS-Dream shape, so 14 B per
+entry with the values. Arithmetic that could leave that type (cell keys,
+an added index base) is done in int64. Per-mode entry counts (how many
+entries each user, service or time index has) are made on each call, once
+per training run. The positions of one entity's entries (its slice) are
+found on demand by a scan, which only the scalar reference updates use.
 """
 
 import math
@@ -37,7 +40,10 @@ class SparseTensor:
 
     Holds only dims, coordinates and values, all read-only, so a tensor
     can be shared freely across threads and model runs; per-mode entry
-    counts are made on each call to :meth:`slice_counts`.
+    counts are made on each call to :meth:`slice_counts`. The coordinates
+    are one (3, n) block of the narrowest integer type that the dims allow
+    (see :attr:`idx`), so an entry takes 14 B while every dim is at most
+    2**15, 20 B up to 2**31 and 32 B beyond.
 
     Use :func:`build_tensor` or :meth:`from_arrays` to construct one.
     """
@@ -56,7 +62,8 @@ class SparseTensor:
         Rejects out-of-range indices, negative or non-finite values, and
         duplicate (i, j, k) triples (silent aggregation would change the
         per-entity entry counts that the optimizer's constants are built
-        from). The tensor keeps private copies of the arrays.
+        from). The tensor keeps private copies of the arrays, its
+        coordinates in the narrowest integer type that the dims allow.
         """
         dims = tuple(int(d) for d in dims)
         if len(dims) != 3 or not all(0 < d < 2**63 for d in dims):
@@ -67,14 +74,14 @@ class SparseTensor:
             idx = np.array((i, j, k))
             y = np.array(y, dtype=np.float64)
         else:
-            # load_records and synthesize pass the (3, n) int64 block whose rows
+            # load_records and synthesize pass the (3, n) integer block whose rows
             # are i, j, k, and float64 values, both made for this tensor: kept as is
             idx = _adopt
         if idx.ndim != 2 or y.shape != idx.shape[1:]:
             raise ValueError("coordinate arrays must be equal-length 1-D")
         for mode, row, dim in zip(MODES, idx, dims):
             check_coords(mode, row, dim)
-        idx = idx.astype(np.int64, copy=False)
+        idx = idx.astype(_index_dtype(dims), copy=False)
         if y.size:
             if not np.isfinite(y).all():
                 raise ValueError("entry values must be finite")
@@ -98,7 +105,13 @@ class SparseTensor:
 
     @property
     def idx(self):
-        """Read-only (3, n) int64 coordinates; rows user, service, time are i, j, k."""
+        """Read-only (3, n) coordinates; rows user, service, time are i, j, k.
+
+        Of the narrowest of int16, int32 and int64 that holds
+        ``max(dims) - 1``; a tensor whose dims were widened after it was
+        built keeps its narrower block. Arithmetic that could leave that
+        type belongs in int64.
+        """
         return self._idx
 
     i = property(lambda self: self._idx[0])
@@ -167,11 +180,19 @@ def check_coords(mode, row, dim, error=ValueError):
         raise error(f"{mode} index {int(bad)} out of range for dimension {dim}")
 
 
+def _index_dtype(dims):
+    # the narrowest of int16, int32 and int64 that holds every index below dims
+    top = max(dims) - 1
+    return np.dtype(np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64)
+
+
 def _cell_keys(dims, idx):
-    # one fresh key per in-range (i, j, k) column, equal and sorted as the cells are:
-    # the raveled index while I*J*K fits in int64, else the three as 24 big-endian bytes
+    # one fresh key per in-range (i, j, k) column of any integer type, equal and sorted
+    # as the cells are: the raveled index, made in int64, while I*J*K fits in int64,
+    # else the three as 24 big-endian bytes
     if math.prod(dims) < 2**63:
-        keys = idx[0] * dims[1]
+        keys = idx[0].astype(np.int64)
+        keys *= dims[1]
         keys += idx[1]
         keys *= dims[2]
         keys += idx[2]

@@ -97,10 +97,11 @@ def test_split_writes_parts_and_sidecar(tmp_path, capsys):
 
 
 def test_split_holds_its_input_and_parts_once(tmp_path, capsys):
-    # The input tensor (32 B per record), its three parts (32 B together) and the
-    # permutation (8 B) are the 72 B budget; 2 B more covers fixed write and hash
-    # buffers. Measured 70.2 B; 90.1 B while the load copied its arrays and the
-    # input stayed alive through the writes.
+    # The input tensor (14 B per record with int16 coordinates), its three parts
+    # (14 B together) and the permutation (8 B) are the 36 B budget; the margin
+    # covers fixed write and hash buffers. Measured 32.1 B (65.9 B with int64
+    # coordinates; 90.1 B while the load copied its arrays and the input stayed
+    # alive through the writes).
     dims = (100, 100, 20)
     ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
@@ -115,7 +116,7 @@ def test_split_holds_its_input_and_parts_once(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and stdout == "split 200000 entries -> 140000/20000/40000\n"
-    assert peak / ii.size <= 74
+    assert peak / ii.size <= 40
 
 
 def test_train_eval_pipeline(tmp_path, capsys):
@@ -199,7 +200,7 @@ def test_train_report_is_strict_json_when_no_epoch_completes(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")  # runaway at epoch 1
     val = tmp_path / "val.txt"
-    val.write_text("0 1 0 1\n")
+    val.write_text("1 0 0 1\n")
     model = tmp_path / "m.model"
     code, _, _ = run(
         ["train", "--train", str(data), "--val", str(val), "--loss", "l2",
@@ -526,11 +527,33 @@ def test_train_out_of_memory_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt", "val.txt"]
 
 
+@pytest.mark.parametrize("base", [0, 1])
+@pytest.mark.parametrize("dims_flag", [[], ["--dims", "40000x3x2"]])
+def test_train_rejects_a_validation_cell_that_is_also_trained_on(tmp_path, capsys, base,
+                                                                  dims_flag):
+    # two shared cells: the (i, j, k)-first is named as the files write it, its base
+    # added past int16; the training file alone reaches the widest index, so inferred
+    # dims widen the validation tensor, whose block stays int16
+    train, val = tmp_path / "train.txt", tmp_path / "val.txt"
+    train.write_text("".join(f"{i + base} {j + base} {k + base} 1\n" for i, j, k in
+                             [(39999, 1, 0), (32767, 1, 0), (1, 1, 1), (32767, 0, 0)]))
+    val.write_text("".join(f"{i + base} {j + base} {k + base} 1\n" for i, j, k in
+                           [(32767, 1, 0), (32767, 0, 0), (0, 2, 1)]))
+    model = tmp_path / "m.model"
+    code, stdout, err = run(["train", "--train", str(train), "--val", str(val),
+                             "--rank", "1", "--max-epochs", "1", "--index-base", str(base),
+                             "--model-out", str(model)] + dims_flag, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"lftk: input error: validation file shares the cell "
+                   f"({32767 + base}, {base}, {base}) with the training file\n")
+    assert not model.exists() and not (tmp_path / "m.model.log").exists()
+
+
 def test_train_divergence_exit_code_3(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
     val = tmp_path / "val.txt"
-    val.write_text("0 1 0 1\n")
+    val.write_text("1 0 0 1\n")
     code, _, err = run(
         ["train", "--train", str(data), "--val", str(val), "--loss", "l2",
          "--rank", "1", "--max-epochs", "50", "--dims", "2x2x1",
@@ -581,7 +604,7 @@ def test_train_overflow_prints_no_runtime_warning(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
     val = tmp_path / "val.txt"
-    val.write_text("0 1 0 1\n")
+    val.write_text("1 0 0 1\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, _ = run(
@@ -666,8 +689,10 @@ def test_parsed_defaults_are_the_dataclass_defaults(argv, cls):
 def test_train_divergence_names_group_and_reason(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
+    val = tmp_path / "val.txt"
+    val.write_text("1 0 0 1\n")
     code, _, err = run(
-        ["train", "--train", str(data), "--val", str(data), "--loss", "l2",
+        ["train", "--train", str(data), "--val", str(val), "--loss", "l2",
          "--rank", "1", "--dims", "2x2x1", "--model-out", str(tmp_path / "d.model")],
         capsys,
     )

@@ -532,8 +532,9 @@ def test_write_rows_formats_floats_as_fmt_real(seed, extra):
 def test_load_records_peak_memory_per_record(tmp_path):
     # Python objects per parsed record cost 146.7 B each at the peak; one
     # (i8, i8, i8, f8) record array plus the tensor's own copies, 89 B. Parsed in
-    # blocks into the tensor's own arrays, the peak is their 32 B plus the 8 B
-    # duplicate-check keys: 41.0 B here. The 7 B margin covers the n/2-key merge
+    # blocks into the tensor's own arrays, the peak is their 14 B (int16
+    # coordinates, float64 values) plus the 8 B duplicate-check keys: 23.0 B here,
+    # 41.0 B with int64 coordinates. The 7 B margin covers the n/2-key merge
     # buffer that a stable sort of unordered keys needs.
     dims = (100, 100, 20)
     ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
@@ -548,13 +549,15 @@ def test_load_records_peak_memory_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert t.n_entries == ii.size == 200_000
-    assert peak / t.n_entries <= 48
+    assert peak / t.n_entries <= 30
 
 
 def test_synthesize_peak_memory_per_entry():
-    # At the WS-Dream shape: the tensor's own 32 B per entry, plus the noise draw or
-    # the duplicate-check keys (8 B) and the outlier mask, measured at 46.6 B per
-    # entry (102.6 B when the cells were unraveled apart and copied into the tensor)
+    # At the WS-Dream shape: the tensor's own 14 B per entry (int16 coordinates),
+    # plus the sampled cells or the noise draw or the duplicate-check keys (8 B
+    # each) and the outlier mask, measured at 25.1 B per entry (43.1 B with int64
+    # coordinates, 102.6 B when the cells were unraveled apart and copied into the
+    # tensor)
     spec = SynthSpec(dims=(142, 4532, 64), rank=5, density=0.005, noise_std=0.05,
                      outlier_rate=0.05, seed=1)
     tracemalloc.start()
@@ -564,13 +567,14 @@ def test_synthesize_peak_memory_per_entry():
     finally:
         tracemalloc.stop()
     assert observed.n_entries == 205_934
-    assert peak / observed.n_entries <= 52
+    assert peak / observed.n_entries <= 34
 
 
 def test_synthesize_peak_memory_per_entry_at_five_percent_density():
     # Above n_cells // 50 cells, rng.choice fills an arange of every cell (160 B per
     # entry here, 171.6 B at the peak); replaying its shuffle from the swap targets
-    # alone leaves the tensor build to set the peak, measured at 45.6 B per entry
+    # alone leaves the tensor build to set the peak, measured at 24.9 B per entry
+    # (42.9 B with int64 coordinates)
     spec = SynthSpec(dims=(142, 4532, 8), rank=5, density=0.05, noise_std=0.05,
                      outlier_rate=0.05, seed=1)
     tracemalloc.start()
@@ -580,7 +584,7 @@ def test_synthesize_peak_memory_per_entry_at_five_percent_density():
     finally:
         tracemalloc.stop()
     assert observed.n_entries == 257_417
-    assert peak / observed.n_entries <= 52
+    assert peak / observed.n_entries <= 34
 
 
 _WSDREAM_5 = SynthSpec(dims=(142, 4532, 64), rank=5, density=0.05)
@@ -629,8 +633,8 @@ def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
 
 def test_load_records_from_a_pipe_peak_memory_per_record(tmp_path):
     # a stream that cannot seek is copied to a temporary file in 64 KiB chunks and
-    # parsed from there, within the file path's bound: 41.1 B per record (125.1 B
-    # when its lines were read into a list)
+    # parsed from there, within the file path's bound: 23.1 B per record (41.1 B
+    # with int64 coordinates, 125.1 B when its lines were read into a list)
     ii, jj, kk = np.unravel_index(np.arange(200_000), (100, 100, 20))
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
     path = tmp_path / "r.txt"
@@ -654,7 +658,7 @@ def test_load_records_from_a_pipe_peak_memory_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert t.n_entries == 200_000
-    assert peak / t.n_entries <= 48
+    assert peak / t.n_entries <= 30
 
 
 # ------------------------------------------------------------- outlier masks

@@ -183,8 +183,14 @@ def test_user_slices_flatten_to_permutation(case):
     assert sorted(flat) == sorted(Entry(*r) for r in rows)
 
 
+def _dims_dtype(dims):
+    # the narrowest of int16, int32 and int64 whose range holds every index below dims
+    top = max(dims) - 1
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
 def _assert_one_block(t):
-    assert t.idx.shape == (3, t.n_entries) and t.idx.dtype == np.int64
+    assert t.idx.shape == (3, t.n_entries) and t.idx.dtype == _dims_dtype(t.dims)
     assert t.idx.flags.c_contiguous and not t.idx.flags.writeable
     for row in (t.i, t.j, t.k):
         assert np.shares_memory(row, t.idx) or t.n_entries == 0
@@ -239,7 +245,7 @@ def test_non_integral_coordinates_are_rejected_naming_the_mode(bad):
 
 def test_integral_float_coordinates_are_accepted():
     t = build_tensor((4, 4, 4), [(3.0, 1.0, 2.0, 1.0)])
-    assert t.idx.dtype == np.int64
+    assert t.idx.dtype == _dims_dtype(t.dims) == np.int16
     assert t.entries() == [Entry(3, 1, 2, 1.0)]
     assert t.slice("user", 3.0).tolist() == [0]
 
