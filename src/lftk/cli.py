@@ -7,6 +7,7 @@ error, 2 input format error, 3 numerical divergence.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -155,6 +156,9 @@ def cmd_train(args):
     dims = parse_dims(args.dims) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
     tensor_val = load_records(args.val, fmt, dims)
+    for name, t in (("training", tensor_train), ("validation", tensor_val)):
+        if not t.n_entries:  # empty with --dims; without, load_records has refused it
+            raise DataFormatError(f"no records found in the {name} file")
     if dims is None:
         # validation entries may reach indices the training file never hits
         dims = tuple(max(d1, d2) for d1, d2 in zip(tensor_train.dims, tensor_val.dims))
@@ -298,9 +302,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first main() call, not at import, and kept: each parse_args
+    # makes a fresh namespace, and the defaults it fills in are immutable
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # overflow is reported by the divergence check (exit 3), not by numpy
         with np.errstate(all="ignore"):

@@ -187,7 +187,8 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     seen plus one (published dataset descriptions and actual index ranges
     do not always agree, so the data wins). Malformed lines, negative
     values, and out-of-base indices are rejected with their line number;
-    duplicate coordinates are rejected when the tensor is built.
+    duplicate coordinates are rejected when the tensor is built, naming
+    the cell as the file writes it.
 
     The lines are counted first (a stream in one read pass, then a seek
     back; a stream that cannot seek is copied to a temporary file first),
@@ -211,8 +212,8 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     try:
         if bulk is not None:
             idx, y = bulk
-            return SparseTensor.from_arrays(dims, *idx, y, _adopt=idx)
-        return SparseTensor.from_arrays(dims, ii, jj, kk, yy)
+            return SparseTensor.from_arrays(dims, *idx, y, _adopt=idx, _base=fmt.index_base)
+        return SparseTensor.from_arrays(dims, ii, jj, kk, yy, _base=fmt.index_base)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 

@@ -56,7 +56,7 @@ class SparseTensor:
         idx.flags.writeable = y.flags.writeable = False
 
     @classmethod
-    def from_arrays(cls, dims, i, j, k, y, *, _adopt=None):
+    def from_arrays(cls, dims, i, j, k, y, *, _adopt=None, _base=0):
         """Validate coordinate arrays and build the tensor.
 
         Rejects out-of-range indices, negative or non-finite values, and
@@ -87,7 +87,7 @@ class SparseTensor:
                 raise ValueError("entry values must be finite")
             if y.min() < 0:
                 raise ValueError(f"entry values must be nonnegative, got {y.min()}")
-        _check_duplicates(dims, idx)
+        _check_duplicates(dims, idx, _base)  # load_records: named in its file's index base
         return cls(dims, idx, y, _validated=True)
 
     @property
@@ -200,15 +200,15 @@ def _cell_keys(dims, idx):
     return np.ascontiguousarray(idx.T, dtype=">i8").view("V24")[:, 0]
 
 
-def _check_duplicates(dims, idx):
+def _check_duplicates(dims, idx, base):
     # Sorted in place: stable sorting is linear on the ordered files lftk writes. Only
-    # a duplicate makes the keys anew, to name the smallest duplicated cell.
+    # a duplicate makes the keys anew, to name the smallest duplicated cell, plus base.
     keys = _cell_keys(dims, idx)
     keys.sort(kind="stable")
     dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
         pos = np.flatnonzero(_cell_keys(dims, idx) == keys[dup[0]])[0]
-        raise ValueError(f"duplicate entry at {tuple(idx[:, pos].tolist())}")
+        raise ValueError(f"duplicate entry at {tuple(v + base for v in idx[:, pos].tolist())}")
 
 
 def build_tensor(dims, entries):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import stat
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+import lftk.cli
 from lftk import FactorModel, SynthSpec, TrainConfig, build_tensor, load_records, mae
 from lftk._util import fmt_real, write_rows
 from lftk.cli import _write_json, build_parser, main
@@ -549,6 +551,18 @@ def test_train_rejects_a_validation_cell_that_is_also_trained_on(tmp_path, capsy
     assert not model.exists() and not (tmp_path / "m.model.log").exists()
 
 
+@pytest.mark.parametrize("header", ["", "# a comment line sends the file through the line parser\n"])
+@pytest.mark.parametrize("base", [0, 1])
+def test_a_duplicate_is_named_as_the_file_writes_it(tmp_path, capsys, base, header):
+    data = tmp_path / "r.txt"
+    data.write_text(header + "".join(f"{i + base} {i + base} {i + base} {y}\n"
+                                     for i, y in [(0, 1), (1, 1), (0, 2)]))
+    code, stdout, err = run(["split", "--input", str(data), "--ratios", "1:1:1",
+                             "--index-base", str(base), "--out", str(tmp_path / "s")], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"lftk: input error: duplicate entry at ({base}, {base}, {base})\n"
+
+
 def test_train_divergence_exit_code_3(tmp_path, capsys):
     data = tmp_path / "big.txt"
     data.write_text("0 0 0 1e200\n1 1 0 1e200\n0 1 0 1\n")
@@ -587,16 +601,34 @@ def test_train_rejects_hyperparameters_that_overflow(tmp_path, capsys, flag, val
 def test_rejected_train_leaves_no_log(tmp_path, capsys, case):
     out, splitdir = make_dataset(tmp_path, capsys)
     train_file, extra = splitdir / "train.txt", ["--lambda", "1e308"]
+    expected = (1, "lftk: error:")
     if case == "empty training file":
         train_file, extra = tmp_path / "empty.txt", ["--dims", "12x10x6"]
         train_file.write_text("# no records\n")
+        expected = (2, "lftk: input error:")
     code, _, err = run(
         ["train", "--train", str(train_file), "--val", str(splitdir / "validation.txt"),
          "--max-epochs", "2", "--model-out", str(tmp_path / "m.model"), *extra],
         capsys,
     )
-    assert code == 1 and err.startswith("lftk: error:")
+    assert (code, err[:len(expected[1])]) == expected
     assert not (tmp_path / "m.model.log").exists()
+
+
+@pytest.mark.parametrize("dims_flag", [[], ["--dims", "2x2x2"]])
+@pytest.mark.parametrize("empty", ["training", "validation"])
+def test_an_empty_training_or_validation_file_exits_2(tmp_path, capsys, empty, dims_flag):
+    files = {"training": tmp_path / "train.txt", "validation": tmp_path / "val.txt"}
+    files["training"].write_text("0 0 0 1\n1 1 1 2\n")
+    files["validation"].write_text("1 0 0 1\n")
+    files[empty].write_text("# no records\n")
+    code, stdout, err = run(["train", "--train", str(files["training"]),
+                             "--val", str(files["validation"]), "--rank", "1",
+                             "--model-out", str(tmp_path / "m.model")] + dims_flag, capsys)
+    assert (code, stdout) == (2, "")
+    message = f"no records found in the {empty} file" if dims_flag else "no dims given"
+    assert err.startswith("lftk: input error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt", "val.txt"]
 
 
 def test_train_overflow_prints_no_runtime_warning(tmp_path, capsys):
@@ -684,6 +716,74 @@ def test_parsed_defaults_are_the_dataclass_defaults(argv, cls):
     assert {k: repr(getattr(args, k)) for k in defaults} == {
         k: repr(v) for k, v in defaults.items()
     }
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    # the parsers main() builds from here on, from an emptied cache (emptied again after)
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(lftk.cli, "build_parser", counted)
+    lftk.cli._parser.cache_clear()
+    yield built
+    lftk.cli._parser.cache_clear()
+
+
+def test_a_reused_parser_fills_in_the_defaults_on_every_call(tmp_path, capsys, parsers_built):
+    train, val = tmp_path / "train.txt", tmp_path / "val.txt"
+    train.write_text("0 0 0 1\n1 1 1 2\n")
+    val.write_text("1 0 0 1\n")
+    flags = ["train", "--train", str(train), "--val", str(val), "--max-epochs", "1"]
+    ranks = []
+    for extra in (["--rank", "3"], []):
+        model = tmp_path / f"m{len(ranks)}.model"
+        assert run(flags + extra + ["--model-out", str(model)], capsys)[0] == 0
+        manifest = json.loads((tmp_path / f"{model.name}.manifest.json").read_text())
+        ranks.append(manifest["parameters"]["rank"])
+    assert ranks == [3, TrainConfig.rank]
+    assert len(parsers_built) == 1
+
+
+def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys, parsers_built):
+    model, entries, out = tmp_path / "m.model", tmp_path / "e.txt", tmp_path / "p.txt"
+    _unit_model(model)
+    entries.write_text("0 0 0 2.0\n")
+    flags = ["predict", "--model", str(model), "--entries", str(entries), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(flags + ["--format", "comma", "--index-base", "2"])
+    assert exc.value.code == 1 and "invalid choice" in capsys.readouterr().err
+    assert run(flags, capsys)[0] == 0
+    assert out.read_text() == "0 0 0 2 1 1\n"  # the refused call's --format left no trace
+    assert len(parsers_built) == 1
+
+
+def test_version_prints_the_same_on_every_call(capsys, parsers_built):
+    printed = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out == f"lftk {lftk.__version__}\n"
+    assert len(parsers_built) == 1
+
+
+def test_python_m_lftk_exits_with_the_commands_exit_code(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0 x 1\n")
+    for argv, code in ([["--version"], 0],
+                       [["split", "--input", str(bad), "--ratios", "1:1:1",
+                         "--out", str(tmp_path / "s")], 2]):
+        monkeypatch.setattr("sys.argv", ["lftk", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("lftk", run_name="__main__")
+        assert exc.value.code == code
+    assert capsys.readouterr().err.startswith("lftk: input error: line 1")
 
 
 def test_train_divergence_names_group_and_reason(tmp_path, capsys):

@@ -72,10 +72,12 @@ def test_records_round_trip_byte_for_byte(tmp_path, top, base):
 def test_a_duplicate_is_named_in_ijk_order(tmp_path, top, base):
     top, _ = top
     cells = _cells(top)
-    # (1, 1, top) is the (i, j, k)-smallest of the two duplicated cells
+    # (1, 1, top) is the (i, j, k)-smallest of the two duplicated cells, named as
+    # the file writes it: its base added past int16 and int32
     src = tmp_path / "r.txt"
     src.write_text(_record_text(cells + [(top, 0, 1), (1, 1, top)], base))
-    with pytest.raises(DataFormatError, match=rf"^duplicate entry at \(1, 1, {top}\)$"):
+    named = rf"\({1 + base}, {1 + base}, {top + base}\)"
+    with pytest.raises(DataFormatError, match=rf"^duplicate entry at {named}$"):
         load_records(src, RecordFormat(index_base=base))
 
 
