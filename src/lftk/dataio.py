@@ -61,10 +61,10 @@ def _text_stream(source):
             text.detach()
 
 
-def _record_lines(lines, sep, n_fields):
-    # (line number, fields) of every record line; blank and "#" lines are
-    # skipped, and a line with the wrong field count is rejected.
-    for lineno, raw in enumerate(lines, start=1):
+def _record_lines(lines, sep, n_fields, start=1):
+    # (line number, counting from start, and fields) of every record line; blank and
+    # "#" lines are skipped, and a line with the wrong field count is rejected.
+    for lineno, raw in enumerate(lines, start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,11 +76,11 @@ def _record_lines(lines, sep, n_fields):
         yield lineno, fields
 
 
-def _parse_records(lines, fmt):
-    # The reference parser, one line at a time: every error names its line.
-    base = fmt.index_base
-    ii, jj, kk, yy = [], [], [], []
-    for lineno, fields in _record_lines(lines, fmt.sep, 4):
+def _parse_records(lines, fmt, start=1):
+    # The reference parser, one line at a time from line number start: the records as
+    # a _RECORD_DTYPE array, index base not taken off. Every error names its line.
+    base, rows = fmt.index_base, []
+    for lineno, fields in _record_lines(lines, fmt.sep, 4, start):
         try:
             i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
             y = float(fields[3])
@@ -90,45 +90,45 @@ def _parse_records(lines, fmt):
             raise DataFormatError(
                 f"line {lineno}: index below base {base}: ({i}, {j}, {k})"
             )
+        if max(i, j, k) >= 2**63:
+            raise DataFormatError(f"line {lineno}: index not below 2**63: ({i}, {j}, {k})")
         if not math.isfinite(y):
             raise DataFormatError(f"line {lineno}: value is not finite")
         if y < 0:
             raise DataFormatError(f"line {lineno}: negative value {fmt_real(y)}")
-        ii.append(i - base)
-        jj.append(j - base)
-        kk.append(k - base)
-        yy.append(y)
-    return ii, jj, kk, yy
+        rows.append((i, j, k, y))
+    return np.array(rows, _RECORD_DTYPE)
 
 
-# records per np.loadtxt call of the bulk parse: a block's record array is 512 KiB
-_PARSE_BLOCK = 1 << 14
+# lines per np.loadtxt call: a block's record array is 128 KiB, and a block that
+# numpy declines is held as str lines for the line parser
+_PARSE_BLOCK = 1 << 12
 
 
-def _bulk_records(lines, n_lines, fmt):
-    # ((3, n) coordinates, n float64 values) of the records among the n_lines
-    # lines, parsed by np.loadtxt _PARSE_BLOCK lines at a time into arrays
-    # allocated once; or None wherever _parse_records might disagree or would
-    # raise: a "#" line, a parse error, a failed check, no records at all, or more
-    # lines than counted. What it accepts, _parse_records builds bit for bit. The
-    # coordinates, base already taken off, start as int16 and are widened whenever
-    # a block holds an index that their type does not, so no int64 copy of the file
-    # is ever held; they end in the type that the inferred dims imply.
-    idx, y = np.empty((3, n_lines), np.int16), np.empty(n_lines)
-    lines, n = iter(lines), 0  # one iterator: loadtxt reads a list from its start
+def _fill_records(lines, n_lines, fmt):
+    # ((3, n_lines) coordinates, n_lines float64 values, n): the n records among at
+    # most n_lines lines, parsed _PARSE_BLOCK lines at a time into arrays allocated
+    # once. A block that numpy declines (a "#" line, a spelling it does not take, a
+    # warning) or that fails the base, finite or nonnegative check goes through the
+    # line parser alone, which builds what numpy accepts bit for bit and names the
+    # first bad line. The coordinates, base taken off, start as int16 and are widened
+    # whenever a block holds an index that their type does not.
+    idx, y, n = np.empty((3, n_lines), np.int16), np.empty(n_lines), 0
     sep, base = None if fmt.sep == " " else fmt.sep, fmt.index_base
-    # A block starts at a non-blank line, so the end of input ends the loop, not
-    # an empty block, on which loadtxt warns (a decline). islice, not max_rows,
-    # which warns about blank lines, cuts a block to the rows still free: none
-    # once more lines than counted have come, which declines.
-    while (first := next((line for line in lines if line.strip()), None)) is not None:
-        block = itertools.islice(itertools.chain((first,), lines), min(_PARSE_BLOCK, n_lines - n))
+    lines, lineno = iter(lines), 1  # the number of the next line
+    for line in lines:
+        if not line.strip():  # a block starts at a non-blank line: loadtxt warns on a
+            lineno += 1  # blank one, a decline that would reach the line parser
+            continue
+        block = [line, *itertools.islice(lines, _PARSE_BLOCK - 1)]
+        first, lineno = lineno, lineno + len(block)
         rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
-        if rec is None:
-            return None
-        coords = [rec[name] for name in "ijk"]
-        if min(c.min() for c in coords) < base:
-            return None
+        if (rec is None or not rec.size or min(rec[c].min() for c in "ijk") < base
+                or not (rec["y"].min() >= 0 and rec["y"].max() < np.inf)):  # NaN fails too
+            rec = _parse_records(block, fmt, first)
+            if not rec.size:  # blank and "#" lines only
+                continue
+        coords = [rec[c] for c in "ijk"]
         wide = _index_dtype((int(max(c.max() for c in coords)) - base + 1,))
         if wide.itemsize > idx.itemsize:
             idx = idx.astype(wide)
@@ -136,11 +136,7 @@ def _bulk_records(lines, n_lines, fmt):
             np.subtract(c, base, out=row[n : n + rec.size], casting="unsafe")
         y[n : n + rec.size] = rec["y"]
         n += rec.size
-    if n < n_lines:  # blank lines left rows unused
-        idx, y = idx[:, :n].copy(), y[:n].copy()
-    if not n or not np.isfinite(y).all() or y.min() < 0:
-        return None
-    return idx, y
+    return idx, y, n
 
 
 @contextlib.contextmanager
@@ -164,17 +160,22 @@ def _rewindable(fh):
 
 
 def _count_lines(fh, start):
-    # The lines from start on, as iterating fh splits them; fh is left at start. A
-    # stream that does not decode gets a partial count: iterating it raises the
-    # error again, at the byte position that the line parser's reads give.
+    # At least as many lines from start on as iterating fh splits, whatever its
+    # newline mode: a "\n" or a lone "\r" ends one. fh is left at start. A stream that
+    # does not decode raises here, where iterating it meets the error, as the line
+    # parser does: a read of its own may meet it at another byte position.
     n, last = 0, "\n"
     try:
         for chunk in iter(lambda: fh.read(1 << 16), ""):
             # numpy counts the "\n" bytes of the UTF-8 in a quarter of str.count's time
             raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
             n, last = n + np.count_nonzero(raw == 10), chunk[-1]
+            if "\r" in chunk:
+                n += chunk.count("\r") - chunk.count("\r\n")
     except UnicodeDecodeError:
-        pass
+        fh.seek(start)
+        for _ in fh:
+            pass
     fh.seek(start)
     return n + (last != "\n")
 
@@ -186,34 +187,29 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     ``dims`` is omitted, each dimension is inferred as the largest index
     seen plus one (published dataset descriptions and actual index ranges
     do not always agree, so the data wins). Malformed lines, negative
-    values, and out-of-base indices are rejected with their line number;
-    duplicate coordinates are rejected when the tensor is built, naming
-    the cell as the file writes it.
+    values, out-of-base indices and indices of 2**63 or more are rejected
+    with their line number; duplicate and out-of-range coordinates are
+    rejected when the tensor is built, naming the cell as the file writes it.
 
     The lines are counted first (a stream in one read pass, then a seek
     back; a stream that cannot seek is copied to a temporary file first),
-    and numpy parses the records in blocks straight into the arrays
-    the tensor keeps; a stream it does not accept (comment lines included)
-    is parsed again line by line, which gives the same tensor or the
-    line-numbered error.
+    then read once, a block of lines at a time. numpy parses a block
+    straight into the arrays the tensor keeps; a block it does not accept
+    (a comment line included) is parsed alone line by line, which gives
+    the same records or the line-numbered error.
     """
     with _text_stream(source) as raw, _rewindable(raw) as (fh, start):
-        bulk = _bulk_records(fh, _count_lines(fh, start), fmt)
-        if bulk is None:
-            fh.seek(start)
-            ii, jj, kk, yy = _parse_records(fh, fmt)
+        idx, y, n = _fill_records(fh, _count_lines(fh, start), fmt)
+    if n < y.size:  # rows left unused by blank and "#" lines: trimmed in turn, so the
+        # peak holds a copy of one array, not of both
+        y = y[:n].copy()
+        idx = idx[:, :n].copy()
     if dims is None:
-        if bulk is not None:
-            dims = tuple(int(m) + 1 for m in bulk[0].max(axis=1))
-        elif not yy:
+        if not n:
             raise DataFormatError("no records found and no dims given")
-        else:  # the line parser's lists hold Python ints of any size: max, not np.max
-            dims = tuple(max(c) + 1 for c in (ii, jj, kk))
+        dims = tuple(int(m) + 1 for m in idx.max(axis=1))
     try:
-        if bulk is not None:
-            idx, y = bulk
-            return SparseTensor.from_arrays(dims, *idx, y, _adopt=idx, _base=fmt.index_base)
-        return SparseTensor.from_arrays(dims, ii, jj, kk, yy, _base=fmt.index_base)
+        return SparseTensor.from_arrays(dims, *idx, y, _adopt=idx, _base=fmt.index_base)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 

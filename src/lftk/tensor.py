@@ -79,8 +79,8 @@ class SparseTensor:
             idx = _adopt
         if idx.ndim != 2 or y.shape != idx.shape[1:]:
             raise ValueError("coordinate arrays must be equal-length 1-D")
-        for mode, row, dim in zip(MODES, idx, dims):
-            check_coords(mode, row, dim)
+        for mode, row, dim in zip(MODES, idx, dims):  # load_records: named in its file's base
+            check_coords(mode, row, dim, base=_base)
         idx = idx.astype(_index_dtype(dims), copy=False)
         if y.size:
             if not np.isfinite(y).all():
@@ -165,11 +165,12 @@ class SparseTensor:
         return f"SparseTensor(dims={self._dims}, n_entries={self.n_entries})"
 
 
-def check_coords(mode, row, dim, error=ValueError):
+def check_coords(mode, row, dim, error=ValueError, base=0):
     """Reject a ``mode`` coordinate that is not a whole number in ``[0, dim)``.
 
     A float that is not integral (0.7, NaN, inf) raises ``ValueError`` rather
-    than being truncated; an index out of range raises ``error``.
+    than being truncated; an index out of range raises ``error``, naming it
+    plus ``base``.
     """
     if row.dtype.kind == "f":
         whole = np.isfinite(row) & (row == np.trunc(row))
@@ -177,7 +178,7 @@ def check_coords(mode, row, dim, error=ValueError):
             raise ValueError(f"{mode} index {row[~whole][0]} is not an integer")
     if row.size and (row.min() < 0 or row.max() >= dim):
         bad = row[(row < 0) | (row >= dim)][0]
-        raise error(f"{mode} index {int(bad)} out of range for dimension {dim}")
+        raise error(f"{mode} index {int(bad) + base} out of range for dimension {dim}")
 
 
 def _index_dtype(dims):

@@ -705,6 +705,23 @@ def test_eval_rejects_test_data_the_model_cannot_score(tmp_path, capsys, content
     assert message in err and stdout == ""
 
 
+@pytest.mark.parametrize("content,message", [
+    ("1 1 2 1.0\n", "time index 2 out of range for dimension 1"),
+    ("1 1 1 1\n1 3 1 2\n", "service index 3 out of range for dimension 1"),
+])
+def test_eval_names_an_out_of_range_index_in_the_files_base(tmp_path, capsys, content,
+                                                            message):
+    # as the file writes it, like a duplicate; base-0 messages are pinned above
+    model_path = tmp_path / "m.model"
+    _unit_model(model_path)
+    test_file = tmp_path / "t.txt"
+    test_file.write_text(content)
+    code, stdout, err = run(["eval", "--model", str(model_path), "--test", str(test_file),
+                             "--index-base", "1"], capsys)
+    assert code == 2 and stdout == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv,cls", [
     (["train", "--train", "t", "--val", "v", "--model-out", "m"], TrainConfig),
     (["synth", "--dims", "2x2x2", "--rank", "1", "--density", "1", "--out", "o"], SynthSpec),

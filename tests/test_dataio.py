@@ -304,8 +304,9 @@ def test_base1_coordinates_are_shifted_block_by_block(tmp_path):
 
 
 def _load_line_by_line(source, fmt=RecordFormat(), dims=None):
-    # load_records with the bulk parse switched off: the reference path
-    with mock.patch.object(dataio, "_bulk_records", lambda lines, n_lines, fmt: None):
+    # load_records with numpy's parse switched off: every block goes through the
+    # line parser, the reference path
+    with mock.patch.object(dataio, "loadtxt_or_none", lambda *args, **kwargs: None):
         return load_records(source, fmt, dims)
 
 
@@ -427,7 +428,7 @@ def test_more_lines_than_counted_fall_back_to_the_line_parser(newline):
 _W, _C1 = RecordFormat(), RecordFormat("comma", 1)
 
 
-@pytest.mark.parametrize("text, fmt, dims, message", [
+_HOSTILE_LINES = [
     ("0 0 0 1\n\n1e3 0 0 1\n", _W, None, "line 3: non-numeric field"),
     ("0 0 0 1\n\n1.0 0 0 1\n", _W, None, "line 3: non-numeric field"),
     ("0 0 0 1\n\n0 0 1 2 # note\n", _W, None, "line 3: expected 4 fields, got 6"),
@@ -442,11 +443,25 @@ _W, _C1 = RecordFormat(), RecordFormat("comma", 1)
     ("0 0 0 1\n\n0 5 0 2\n", _W, (1, 2, 1), "service index 5 out of range for dimension 2"),
     ("", _W, None, "no records found and no dims given"),
     ("# only a comment\n\n", _W, None, "no records found and no dims given"),
-])
-def test_hostile_record_lines_keep_their_messages(text, fmt, dims, message):
-    with pytest.raises(DataFormatError) as exc:
+    ("# a\n# b\n\n0 0 0 1\n0 0 1 x\n", _W, None, "line 5: non-numeric field"),
+    ("0 0 0 1\n\n0 9223372036854775808 0 1\n", _W, None,
+     "line 3: index not below 2**63: (0, 9223372036854775808, 0)"),
+]
+
+
+@pytest.mark.parametrize("text, fmt, dims, message", _HOSTILE_LINES)
+def test_hostile_record_lines_keep_their_messages(text, fmt, dims, message, block=None):
+    with mock.patch.object(dataio, "_PARSE_BLOCK", block or dataio._PARSE_BLOCK), \
+            pytest.raises(DataFormatError) as exc:
         load_records(io.StringIO(text), fmt, dims)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, fmt, dims, message", _HOSTILE_LINES)
+def test_hostile_record_lines_keep_their_messages_in_blocks_of_2(text, fmt, dims, message):
+    # a bad line after blank lines and a declined "#" block is still named by its
+    # own line number
+    test_hostile_record_lines_keep_their_messages(text, fmt, dims, message, block=2)
 
 
 def test_undecodable_input_raises_the_line_parsers_error(tmp_path):
@@ -458,6 +473,32 @@ def test_undecodable_input_raises_the_line_parsers_error(tmp_path):
     with pytest.raises(UnicodeDecodeError) as got:
         load_records(path)
     assert str(got.value) == str(want.value)
+
+
+def test_undecodable_input_past_the_count_raises_the_line_parsers_error(tmp_path):
+    # the count's 64 KiB reads miss the lines of the chunk before the bad byte, and
+    # iterating would read whole blocks of them: the error comes before any block
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"0 0 0 1\n" * 24384 + b"1 1 1 \xff\n")
+    with pytest.raises(UnicodeDecodeError) as want, path.open(encoding="utf-8") as fh:
+        dataio._parse_records(fh, RecordFormat())
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_records(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+def test_line_count_bounds_the_lines_of_every_newline_mode(newline):
+    # a "\n" or a lone "\r" ends a line in one mode or another: counting both never
+    # leaves a stream's records without rows
+    text = "0 0 0 1\r1 0 0 2\n2 0 0 3\r\n\r\r3 0 0 4\n\r4 0 0 5\r"
+
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+
+    assert dataio._count_lines(stream(), 0) >= len(list(stream()))
+    with mock.patch.object(dataio, "_PARSE_BLOCK", 2):
+        assert _outcome(load_records, stream()) == _outcome(_load_line_by_line, stream())
 
 
 def test_underscored_coordinate_is_read_as_python_reads_it():
@@ -529,18 +570,21 @@ def test_write_rows_formats_floats_as_fmt_real(seed, extra):
     assert buf.getvalue().splitlines() == [fmt_real(v) for v in values]
 
 
-def test_load_records_peak_memory_per_record(tmp_path):
+def test_load_records_peak_memory_per_record(tmp_path, header=""):
     # Python objects per parsed record cost 146.7 B each at the peak; one
     # (i8, i8, i8, f8) record array plus the tensor's own copies, 89 B. Parsed in
     # blocks into the tensor's own arrays, the peak is their 14 B (int16
     # coordinates, float64 values) plus the 8 B duplicate-check keys: 23.0 B here,
     # 41.0 B with int64 coordinates. The 7 B margin covers the n/2-key merge
-    # buffer that a stable sort of unordered keys needs.
+    # buffer that a stable sort of unordered keys needs. A "#" header sends only
+    # its own block to the line parser (103.5 B when the whole file was parsed
+    # again line by line) and leaves one row unused, trimmed an array at a time.
     dims = (100, 100, 20)
     ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
     path = tmp_path / "r.txt"
     with path.open("w") as fh:
+        fh.write(header)
         write_rows(fh, (ii, jj, kk, y))
     tracemalloc.start()
     try:
@@ -550,6 +594,14 @@ def test_load_records_peak_memory_per_record(tmp_path):
         tracemalloc.stop()
     assert t.n_entries == ii.size == 200_000
     assert peak / t.n_entries <= 30
+    # the headerless file's tensor, bit for bit
+    assert t.dims == dims and t.idx.dtype == np.int16 and t.idx.flags.c_contiguous
+    np.testing.assert_array_equal(t.idx, np.stack([ii, jj, kk]))
+    assert t.y.tobytes() == y.tobytes()
+
+
+def test_a_headed_file_loads_within_the_plain_files_peak_memory(tmp_path):
+    test_load_records_peak_memory_per_record(tmp_path, header="# user service time value\n")
 
 
 def test_synthesize_peak_memory_per_entry():
@@ -629,6 +681,30 @@ def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
             assert not pipe.seekable()
             t = load_records(pipe)
         assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0)]
+
+
+class _CountingStream(io.StringIO):
+    # the characters handed out through read and iteration, in all
+    chars = 0
+
+    def read(self, *args):
+        text = super().read(*args)
+        self.chars += len(text)
+        return text
+
+    def __next__(self):
+        line = super().__next__()
+        self.chars += len(line)
+        return line
+
+
+def test_a_headed_seekable_stream_is_read_once_to_count_and_once_to_parse():
+    # a "#" line sends its block to the line parser, not the whole stream again
+    text = "# user service time value\n0 0 0 1.5\n1 0 2 2\n\n2 1 0 3\n"
+    fh = _CountingStream(text)
+    t = load_records(fh)
+    assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0), (2, 1, 0, 3.0)]
+    assert fh.chars == 2 * len(text)
 
 
 def test_load_records_from_a_pipe_peak_memory_per_record(tmp_path):
