@@ -12,23 +12,28 @@ _ROW_BLOCK = 1024
 _TABLE_MAX = 1 << 16  # strings in one integer column's table, about 4 MB
 
 
+def _repr_is_positional(mag):  # where repr is fmt_real's string, an integral ".0" dropped
+    return (mag < 1e16) & ((mag >= 1e-4) | (mag == 0))
+
+
 def fmt_real(x):
     """Shortest decimal string that parses back to the same float64.
 
     Integral values drop the trailing point (1.0 -> "1") so record files
     stay compact; parsers accept both plain decimal and scientific forms.
     """
-    return np.format_float_positional(float(x), unique=True, trim="-")
+    x = float(x)
+    if _repr_is_positional(abs(x)):
+        return repr(x).removesuffix(".0")
+    return np.format_float_positional(x, unique=True, trim="-")
 
 
 def _float_strs(block):
-    # repr is fmt_real's string wherever repr is positional (0 and
-    # 1e-4 <= |x| < 1e16), once integral values drop their ".0"; the rest
-    # (exponent forms, inf, nan) goes through fmt_real itself.
+    # fmt_real over a block, its repr fast path taken for the whole block at once;
+    # the rest (exponent forms, inf, nan) goes through fmt_real itself.
     block = block.astype(np.float64, copy=False)  # fmt_real formats float(x)
     strs = list(map(repr, block.tolist()))
-    mag = np.abs(block)
-    positional = (mag < 1e16) & ((mag >= 1e-4) | (mag == 0))
+    positional = _repr_is_positional(np.abs(block))
     for p in np.flatnonzero(~positional).tolist():
         strs[p] = fmt_real(block[p])
     for p in np.flatnonzero(positional & (block == np.trunc(block))).tolist():

@@ -5,9 +5,10 @@ copy of every parameter, tied to its nonnegative primal twin through an
 augmented Lagrangian. Each mode's parameters form one ``(dim, R+1)``
 block: factor columns ``0..R-1`` and the bias in column ``R``, which is a
 factor column whose coefficient in the prediction is always 1. The primal
-model, the auxiliaries and the multipliers each hold one block per mode,
-so one closed form updates every column. Each epoch alternates three
-moves:
+model, the auxiliaries and the multipliers each stack their three blocks
+in one ``(I+J+K, R+1)`` array, and the constants in one vector, so one
+closed form updates every column and the projection, the dual step and
+the checks are one set of numpy calls. Each epoch alternates three moves:
 
 1. auxiliary column updates: closed-form minimizers of the
    half-quadratic subproblem in which every residual carries the weight
@@ -26,8 +27,9 @@ retain their initial values.
 Within one phase (one column of one mode), rows of the same mode touch
 disjoint entry sets, so updating them in ascending index order is
 identical to updating them simultaneously; the sweeps below exploit this
-with vectorized per-phase updates. Each sweep walks the entries in
-cache-sized chunks through reused buffers; ``np.bincount`` (first chunk) and
+with vectorized per-phase updates. Each sweep walks the epoch's chunk plan,
+views of cache-sized chunks and buffers built once per epoch, with one intp
+copy of each chunk's coordinates; ``np.bincount`` (first chunk) and
 ``np.add.at`` (the rest, both sums at once as the real and imaginary parts of
 one complex add) sum each entity's terms in entry order, exactly as one
 ``np.bincount`` over all entries would, so results do not depend on the
@@ -43,7 +45,7 @@ from ._util import _open_sink, fmt_real
 from .errors import DivergenceError
 from .evaluation import EvalReport, mae
 from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
-from .model import FactorModel, _predict, block_views, check_loss, loss_sum, objective
+from .model import FactorModel, _predict, block_views, check_loss, loss_sum, mode_rows, objective
 from .tensor import MODES
 
 # Magnitude at which training is declared divergent; the coupled
@@ -133,58 +135,52 @@ def cauchy_weight(residual, gamma=1.0, loss="cauchy"):
 class AdmmState:
     """Auxiliary variables, multipliers, and constants of one training run.
 
-    ``aux`` and ``mult`` hold one ``(dim, R+1)`` block per mode, laid out
-    like ``FactorModel.blocks``; ``aux_u``..``aux_c`` and ``phi``..``sigma``
-    are writable views into them in the model's U, S, T, a, b, c order.
-    Auxiliaries are unconstrained in sign; multipliers start at zero. The
-    loss mode and scale are carried here so the per-coordinate updates can
-    evaluate their weights.
+    ``aux_params``, ``mult_params`` and the constants ``const`` are stacked
+    like ``FactorModel.params``; ``aux`` and ``mult`` are their per-mode
+    blocks, and ``aux_u``..``aux_c`` and ``phi``..``sigma`` writable views in
+    the model's U, S, T, a, b, c order. Auxiliaries are unconstrained in sign;
+    multipliers start at zero. The loss mode and scale are carried here so
+    the per-coordinate updates can evaluate their weights.
     """
 
     def __init__(self, aux, mult, constants, gamma, loss):
-        self.aux, self.mult = tuple(aux), tuple(mult)
+        self.constants, self.gamma, self.loss = constants, gamma, loss
+        per_mode = (constants.tau, constants.nu, constants.omega)
+        self.dims, self.const = tuple(map(len, per_mode)), np.concatenate(per_mode)
+        self.aux_params, self.mult_params = aux, mult
+        self.aux, self.mult = mode_rows(aux, self.dims), mode_rows(mult, self.dims)
         (self.aux_u, self.aux_s, self.aux_t,
          self.aux_a, self.aux_b, self.aux_c) = block_views(self.aux)
         (self.phi, self.rho, self.psi,
          self.chi, self.vphi, self.sigma) = block_views(self.mult)
-        self.constants = constants
-        self.active = tuple(c > 0 for c in (constants.tau, constants.nu, constants.omega))
-        # ufunc `where` masks: plain True, far cheaper for numpy, when all are active
-        self.where = tuple(True if a.all() else a for a in self.active)
-        self.gamma = gamma
-        self.loss = loss
+        self.active = self.const > 0
+        # the ufunc `where` mask: plain True, far cheaper for numpy, when all are active
+        self.where = True if self.active.all() else self.active[:, None]
 
     @classmethod
     def initialize(cls, model, tensor, config):
-        aux = tuple(blk.copy() for blk in model.blocks)
-        mult = tuple(np.zeros_like(blk) for blk in model.blocks)
         constants = compute_augmentation_constants(tensor, config.lam)
-        return cls(aux, mult, constants, config.gamma, config.loss)
+        return cls(model.params.copy(), np.zeros_like(model.params), constants,
+                   config.gamma, config.loss)
 
     @property
     def rank(self):
-        return self.aux[0].shape[1] - 1
+        return self.aux_params.shape[1] - 1
 
     def aux_prediction(self, tensor, positions=None):
         """Predictions from the auxiliary variables for all (or some) entries."""
         return _predict(self.aux, *(tensor.idx if positions is None else tensor.idx[:, positions]))
 
-    def groups(self, model):
-        """(mode, aux, primal, multiplier, constants) for each mode's block."""
-        c = self.constants
-        consts = (c.tau, c.nu, c.omega)
-        return tuple(zip(MODES, self.aux, model.blocks, self.mult, consts))
-
     def max_primal_residual(self, model):
         """Largest gap |aux - primal| over every parameter."""
-        return max([0.0] + [float(np.abs(aux - prim).max())
-                            for aux, prim in zip(self.aux, model.blocks) if aux.size])
+        return float(np.abs(self.aux_params - model.params).max(initial=0.0))
 
 
 def _update_coordinate(state, model, tensor, mode, index, col):
     pos = tensor.slice(mode, index)
     axis = MODES.index(mode)
-    _, aux, prim, mult, const = state.groups(model)[axis]
+    aux, prim, mult = state.aux[axis], model.blocks[axis], state.mult[axis]
+    const = mode_rows(state.const, state.dims)[axis]
     if pos.size == 0:
         return float(aux[index, col])
     y = tensor.y[pos]
@@ -225,26 +221,25 @@ def update_auxiliary_bias(state, model, tensor, mode, index):
 
 
 def project_nonnegative(state, model):
-    """Clamp each primal block at the penalty minimizer max(0, aux + mult/const).
+    """Clamp the primal parameters at the penalty minimizer max(0, aux + mult/const).
 
     Entities with zero constants are left untouched; afterwards every model
     element is >= 0. Returns the model (mutated in place).
     """
-    for (_, aux, prim, mult, const), active in zip(state.groups(model), state.active):
-        # 0/0 arises only on masked rows, where const and mult are both 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.copyto(prim, np.maximum(0.0, aux + mult / const[:, None]), where=active[:, None])
+    # 0/0 arises only on masked rows, where const and mult are both 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.copyto(model.params, np.maximum(0.0, state.aux_params + state.mult_params
+                                           / state.const[:, None]), where=state.where)
     return model
 
 
 def update_multipliers(state, model, eta):
-    """Dual gradient ascent: mult += eta * const * (aux - primal), per block.
+    """Dual gradient ascent: mult += eta * const * (aux - primal).
 
     Feasible parameters (aux equal to primal) leave their multipliers
     fixed; zero-constant entities never move.
     """
-    for _, aux, prim, mult, const in state.groups(model):
-        mult += eta * const[:, None] * (aux - prim)
+    state.mult_params += eta * state.const[:, None] * (state.aux_params - model.params)
 
 
 def lagrangian_value(state, model, tensor, config):
@@ -255,66 +250,63 @@ def lagrangian_value(state, model, tensor, config):
     term sum mult^2 / (2 const). Zero-constant entities contribute nothing.
     """
     e = tensor.y - state.aux_prediction(tensor)
-    value = 0.5 * loss_sum(e, config.loss, config.gamma)
-    for (_, aux, prim, mult, const), active in zip(state.groups(model), state.active):
-        c = const[active][:, None]
-        gap = aux[active] - prim[active] + mult[active] / c
-        value += 0.5 * float((c * gap * gap).sum())
-        value -= float((mult[active] ** 2 / (2.0 * c)).sum())
-    return value
+    on = state.active
+    c, mult = state.const[on][:, None], state.mult_params[on]
+    gap = state.aux_params[on] - model.params[on] + mult / c
+    penalty = float((0.5 * c * gap * gap - mult**2 / (2.0 * c)).sum())
+    return 0.5 * loss_sum(e, config.loss, config.gamma) + penalty
 
 
-def _sweep_column(state, tensor, axis, col, fixed, work, prev):
-    # One auxiliary column for every entity of the mode at once, chunk by chunk;
-    # its gathers use take, which runs as fast on the tensor's int16 coordinates
-    # as on int64 ones (fancy indexing takes about twice as long on int16);
-    # each chunk first takes the yhat update of `prev`, the last column's
-    # (step, own, factor), with the coefficients `coef` still holds. `fixed`
-    # is the mode's (const * primal - multiplier, const), set for the epoch.
-    (pull, const), (yhat, coef, buf) = fixed, work
+def _sweep_column(state, axis, col, fixed, plan, prev):
+    # One auxiliary column for every entity of the mode at once, chunk by chunk
+    # through the epoch's plan. A chunk's coordinates are made intp once for all its
+    # gathers (take) and sums, which would each convert the int16 ones again; it
+    # first takes the yhat update of `prev`, the last column's (step, axis, factor),
+    # with the coefficients `coef` still holds. `fixed` is the mode's
+    # (const * primal - multiplier, const, where mask), set for the epoch.
+    pull, const, where = fixed
     step, moved, scaled = prev or (None, None, False)
-    y, own, old = tensor.y, tensor.idx[axis], state.aux[axis][:, col]
+    old = state.aux[axis][:, col]
     factor, gamma2, sums = col < state.rank, state.gamma * state.gamma, None
     if factor:  # the other two modes' values of this column, per entry
         p, q = (m for m in range(3) if m != axis)
         cp, cq = state.aux[p][:, col], state.aux[q][:, col]
-        ip, iq = tensor.idx[p], tensor.idx[q]
-    if not y.size:  # nothing to sum (np.bincount would return int zeros)
+    if not plan:  # nothing to sum (np.bincount would return int zeros)
         num, den = np.zeros(len(old)), np.zeros(len(old))
-    for lo in range(0, y.size, _SWEEP_CHUNK):
-        at, wc = slice(lo, lo + _SWEEP_CHUNK), buf[: min(_SWEEP_CHUNK, y.size - lo)]
+    for n, (y, yhat, coef, idx, wc) in enumerate(plan):
+        idx = idx.astype(np.intp, copy=False)
+        own = idx[axis]
         if step is not None:
-            yhat[at] += step.take(moved[at]) * coef[at] if scaled else step.take(moved[at])
+            yhat += step.take(idx[moved]) * coef if scaled else step.take(idx[moved])
         if state.loss == "l2":
             wc.fill(1.0)
         else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
-            np.square(np.subtract(y[at], yhat[at], out=wc), out=wc)
+            np.square(np.subtract(y, yhat, out=wc), out=wc)
             np.divide(1.0, np.add(wc, gamma2, out=wc), out=wc)
-        term = old.take(own[at])
+        term = old.take(own)
         if factor:  # a bias column's coefficient is 1: nothing to multiply
-            c = np.multiply(cp.take(ip[at]), cq.take(iq[at]), out=coef[at])
+            c = np.multiply(cp.take(idx[p]), cq.take(idx[q]), out=coef)
             wc *= c
             term *= c
-        term = np.subtract(y[at], np.subtract(yhat[at], term, out=term), out=term)
+        term = np.subtract(y, np.subtract(yhat, term, out=term), out=term)
         parts = (np.multiply(wc, term, out=term), np.multiply(wc, c, out=wc) if factor else wc)
-        if not lo:  # from zero, bincount adds in entry order exactly as np.add.at does
-            num, den = (np.bincount(own[at], part, len(old)) for part in parts)
+        if not n:  # from zero, bincount adds in entry order exactly as np.add.at does
+            num, den = (np.bincount(own, part, len(old)) for part in parts)
             continue
         if sums is None:  # complex adds sum real and imaginary parts apart: num + den*1j
-            sums, z = np.empty(len(old), complex), np.empty(_SWEEP_CHUNK, complex)
+            sums, z = np.empty(len(old), complex), np.empty(wc.size, complex)
             sums.real, sums.imag = num, den
             num, den = sums.real, sums.imag
-        zc = z[: wc.size]
+        zc = z[: wc.size]  # chunks after the second are no longer
         zc.real, zc.imag = parts
-        np.add.at(sums, own[at], zc)
-    where = state.where[axis]
+        np.add.at(sums, own, zc)
     num += pull[:, col]
     den += const
     np.divide(num, den, out=num, where=where)
     # den is exactly 0 for an entity without entries, so its step stays 0
     np.subtract(num, old, out=den, where=where)
     np.copyto(old, num, where=where)
-    return den, own, factor
+    return den, axis, factor
 
 
 def _check_group(name, arr):
@@ -323,9 +315,9 @@ def _check_group(name, arr):
                               else f"magnitude exceeds {DIVERGENCE_LIMIT:g}")
 
 
-def _check_blocks(blocks, names):
-    # one reduction per block; only when one fails are the six groups searched, in order
-    if not all(np.abs(b).max() <= DIVERGENCE_LIMIT for b in blocks if b.size):
+def _check_blocks(params, blocks, names):
+    # one reduction over the stacked array; only if it fails are the six groups searched
+    if params.size and not np.abs(params).max() <= DIVERGENCE_LIMIT:
         for name, arr in zip(names, block_views(blocks)):
             _check_group(name, arr)
 
@@ -340,24 +332,28 @@ def train_epoch(state, model, tensor, config):
     aux-primal gap. Raises :class:`DivergenceError` naming the variable
     group that first produced a non-finite or runaway value.
     """
-    yhat, rank, prev = state.aux_prediction(tensor), model.rank, None
-    work = (yhat, np.empty_like(yhat), np.empty(min(_SWEEP_CHUNK, yhat.size)))
+    yhat, rank, prev, size = state.aux_prediction(tensor), model.rank, None, _SWEEP_CHUNK
+    coef, buf = np.empty_like(yhat), np.empty(min(size, yhat.size))
+    # the epoch's chunk plan: each chunk's y, yhat, coef, coordinates and weight buffer
+    at = [slice(lo, lo + size) for lo in range(0, yhat.size, size)]
+    plan = [(tensor.y[c], yhat[c], coef[c], tensor.idx[:, c], buf[: yhat[c].size]) for c in at]
     # the sweeps move only the auxiliaries, so each mode's pull is fixed
-    fixed = [(const[:, None] * prim - mult, const)
-             for _, _, prim, mult, const in state.groups(model)]
+    pull = state.const[:, None] * model.params - state.mult_params
+    wheres = (True,) * 3 if state.where is True else mode_rows(state.active, state.dims)
+    fixed = list(zip(mode_rows(pull, state.dims), mode_rows(state.const, state.dims), wheres))
     for axis, mode in enumerate(MODES):
         for col in range(rank):
-            prev = _sweep_column(state, tensor, axis, col, fixed[axis], work, prev)
+            prev = _sweep_column(state, axis, col, fixed[axis], plan, prev)
         _check_group(f"auxiliary {mode} factors", state.aux[axis][:, :rank])
     for axis, mode in enumerate(MODES):
-        prev = _sweep_column(state, tensor, axis, rank, fixed[axis], work, prev)
+        prev = _sweep_column(state, axis, rank, fixed[axis], plan, prev)
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
-    del yhat, work, prev  # freed before the objective allocates its own
+    del yhat, coef, buf, plan, prev  # freed before the objective allocates its own
     project_nonnegative(state, model)
-    _check_blocks(model.blocks, (f"projected {name}" for name in "USTabc"))
+    _check_blocks(model.params, model.blocks, (f"projected {name}" for name in "USTabc"))
     update_multipliers(state, model, config.eta)
-    _check_blocks(state.mult, (f"multipliers for {mode} {part}"
-                               for part in ("factors", "biases") for mode in MODES))
+    names = (f"multipliers for {mode} {part}" for part in ("factors", "biases") for mode in MODES)
+    _check_blocks(state.mult_params, state.mult, names)
     obj = objective(model, tensor, loss=config.loss, gamma=config.gamma)
     return obj, state.max_primal_residual(model)
 
@@ -389,7 +385,8 @@ def train(tensor_train, tensor_val, config, log=None):
     model = FactorModel.initialize(tensor_train.dims, config.rank, config.seed)
     state = AdmmState.initialize(model, tensor_train, config)
     # an entity's constant is 0, so it is inactive, exactly when it has no entries
-    skipped = {mode: int((~active).sum()) for mode, active in zip(MODES, state.active)}
+    skipped = {mode: int(off.sum())
+               for mode, off in zip(MODES, mode_rows(~state.active, state.dims))}
 
     best_model, best_val, best_epoch = model.copy(), math.inf, 0
     progress_ref, stall, rows, divergence = math.inf, 0, [], None
@@ -409,9 +406,8 @@ def train(tensor_train, tensor_val, config, log=None):
                     f"epoch {epoch} obj {fmt_real(obj)} val_mae {fmt_real(val)}"
                     f" max_primal_residual {fmt_real(max_gap)}\n"
                 )
-            if val < best_val:  # the snapshot's blocks take the model's in place
-                for best, blk in zip(best_model.blocks, model.blocks):
-                    np.copyto(best, blk)
+            if val < best_val:  # the snapshot takes the model's parameters in place
+                np.copyto(best_model.params, model.params)
                 best_val, best_epoch = val, epoch
             if val < progress_ref - config.min_delta:
                 progress_ref = val

@@ -105,29 +105,34 @@ def _parse_records(lines, fmt, start=1):
 _PARSE_BLOCK = 1 << 12
 
 
+def _blocks(lines):
+    # (number of its first line, block) for up to _PARSE_BLOCK lines at a time; a block
+    # starts at a line that is neither blank nor "#" (which loadtxt would decline)
+    lines, lineno = iter(lines), 1  # the number of the next line
+    for line in lines:
+        if not line.strip() or line.lstrip().startswith("#"):
+            lineno += 1
+            continue
+        block = [line, *itertools.islice(lines, _PARSE_BLOCK - 1)]
+        yield lineno, block
+        lineno += len(block)
+
+
 def _fill_records(lines, n_lines, fmt):
     # ((3, n_lines) coordinates, n_lines float64 values, n): the n records among at
-    # most n_lines lines, parsed _PARSE_BLOCK lines at a time into arrays allocated
-    # once. A block that numpy declines (a "#" line, a spelling it does not take, a
+    # most n_lines lines, parsed a block at a time into arrays allocated once. A
+    # block that numpy declines (a "#" line, a spelling it does not take, a
     # warning) or that fails the base, finite or nonnegative check goes through the
     # line parser alone, which builds what numpy accepts bit for bit and names the
     # first bad line. The coordinates, base taken off, start as int16 and are widened
     # whenever a block holds an index that their type does not.
     idx, y, n = np.empty((3, n_lines), np.int16), np.empty(n_lines), 0
     sep, base = None if fmt.sep == " " else fmt.sep, fmt.index_base
-    lines, lineno = iter(lines), 1  # the number of the next line
-    for line in lines:
-        if not line.strip():  # a block starts at a non-blank line: loadtxt warns on a
-            lineno += 1  # blank one, a decline that would reach the line parser
-            continue
-        block = [line, *itertools.islice(lines, _PARSE_BLOCK - 1)]
-        first, lineno = lineno, lineno + len(block)
+    for first, block in _blocks(lines):
         rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
         if (rec is None or not rec.size or min(rec[c].min() for c in "ijk") < base
                 or not (rec["y"].min() >= 0 and rec["y"].max() < np.inf)):  # NaN fails too
-            rec = _parse_records(block, fmt, first)
-            if not rec.size:  # blank and "#" lines only
-                continue
+            rec = _parse_records(block, fmt, first)  # a record line first: never empty
         coords = [rec[c] for c in "ijk"]
         wide = _index_dtype((int(max(c.max() for c in coords)) - base + 1,))
         if wide.itemsize > idx.itemsize:
@@ -372,23 +377,28 @@ def write_outlier_mask(tensor, mask, sink):
 
 
 def load_outlier_mask(source, dims):
-    """The flagged triples that name a cell of ``dims``, as ``(n, 3)`` int64 rows in file order."""
+    """The flagged triples that name a cell of ``dims``, as ``(n, 3)`` int64 rows in file order.
+
+    Read a block of lines at a time, as :func:`load_records` reads: numpy
+    parses a block in one call, and a block it does not accept is parsed
+    alone line by line, which gives the same rows or the line-numbered error.
+    """
+    parts = [np.empty((0, 3), np.int64)]
     with _text_stream(source) as fh:
-        lines = list(fh)
-    # numpy parses all after the leading "#" lines; the line parser reruns on a rejection
-    body = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), lines)
-    arr = loadtxt_or_none(list(body), np.int64, ndmin=2)
-    if arr is not None and arr.shape[1:] == (3,):
-        return arr[((arr >= 0) & (arr < np.array(dims))).all(axis=1)]
-    rows = []
-    for lineno, fields in _record_lines(lines, " ", 3):
-        try:
-            row = [int(f) for f in fields]
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: non-integer field") from None
-        if all(0 <= v < d for v, d in zip(row, dims)):
-            rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+        for first, block in _blocks(fh):
+            arr = loadtxt_or_none(block, np.int64, ndmin=2)
+            if arr is None or arr.shape[1:] != (3,):  # the line parser, this block alone
+                rows = []
+                for lineno, fields in _record_lines(block, " ", 3, first):
+                    try:
+                        row = [int(f) for f in fields]
+                    except ValueError:
+                        raise DataFormatError(f"line {lineno}: non-integer field") from None
+                    if all(0 <= v < d for v, d in zip(row, dims)):
+                        rows.append(row)
+                arr = np.array(rows, np.int64).reshape(-1, 3)
+            parts.append(arr[((arr >= 0) & (arr < np.array(dims))).all(axis=1)])
+    return np.concatenate(parts)
 
 
 def write_split_metadata(sink, spec, n_entries):

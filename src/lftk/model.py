@@ -29,6 +29,11 @@ def block_views(blocks):
     return tuple(b[:, :-1] for b in blocks) + tuple(b[:, -1] for b in blocks)
 
 
+def mode_rows(arr, dims):
+    """The user, service and time row ranges (views) of an array stacked in that order."""
+    return arr[: dims[0]], arr[dims[0] : dims[0] + dims[1]], arr[dims[0] + dims[1] :]
+
+
 def _check_shapes(factors, biases):
     for name, m in zip("UST", factors):
         if m.ndim != 2:
@@ -45,19 +50,20 @@ def _check_shapes(factors, biases):
 class FactorModel:
     """Nonnegative latent factor matrices U, S, T and bias vectors a, b, c.
 
-    Each mode's parameters live in one row-major ``(dim, R+1)`` block in
-    ``blocks``: factor columns ``0..R-1`` and the bias in column ``R``.
-    ``U``/``a``, ``S``/``b`` and ``T``/``c`` are writable views into them.
+    All parameters live in one C-contiguous ``(I+J+K, R+1)`` array, ``params``:
+    users', services', then times' rows of factors and a bias (column ``R``),
+    each mode's ``(dim, R+1)`` block in ``blocks``; ``U``..``c`` are views.
     """
 
     def __init__(self, U, S, T, a, b, c):
         factors = [np.asarray(m, dtype=np.float64) for m in (U, S, T)]
         biases = [np.asarray(v, dtype=np.float64) for v in (a, b, c)]
         _check_shapes(factors, biases)
-        self.blocks = tuple(np.column_stack(fv) for fv in zip(factors, biases))
+        self.params = np.column_stack((np.concatenate(factors), np.concatenate(biases)))
+        self.blocks = mode_rows(self.params, [len(m) for m in factors])
         self.U, self.S, self.T, self.a, self.b, self.c = block_views(self.blocks)
-        # one pass per block; only a failing block has the arrays named, in order
-        if not all(not b.size or (b.min() >= 0 and b.max() < np.inf) for b in self.blocks):
+        # one pass over params; only a failing model has its arrays named, in order
+        if self.params.size and not (self.params.min() >= 0 and self.params.max() < np.inf):
             for name, arr in self.arrays():
                 if not np.isfinite(arr).all():
                     raise ValueError(f"{name} contains non-finite values")
@@ -93,14 +99,7 @@ class FactorModel:
         return (self.U.shape[0], self.S.shape[0], self.T.shape[0])
 
     def arrays(self):
-        return (
-            ("U", self.U),
-            ("S", self.S),
-            ("T", self.T),
-            ("a", self.a),
-            ("b", self.b),
-            ("c", self.c),
-        )
+        return tuple(zip("USTabc", (self.U, self.S, self.T, self.a, self.b, self.c)))
 
     def copy(self):
         """Independent copy, built and checked by the constructor."""

@@ -270,7 +270,7 @@ def test_multipliers_fixed_at_feasibility():
     state, _ = make_state(model, obs)
     # aux initialized as copies of the primal -> every group feasible
     update_multipliers(state, model, eta=1.3)
-    for _, _, _, mult, _ in state.groups(model):
+    for mult in state.mult:
         assert (mult == 0).all()
 
 
@@ -281,6 +281,67 @@ def test_multipliers_eta_zero_noop():
     state.aux_u += 0.5
     update_multipliers(state, model, eta=0.0)
     assert (state.phi == 0).all()
+
+
+# ------------------------------------------------------------ stacked layout
+
+
+def test_parameters_are_views_of_one_array_per_role():
+    obs, _, _ = synthesize(SynthSpec(dims=(4, 5, 3), rank=2, density=0.6, seed=3))
+    model = FactorModel.initialize(obs.dims, 2, seed=4)
+    state, _ = make_state(model, obs)
+    stacked = (model.params, state.aux_params, state.mult_params)
+    assert all(arr.shape == (12, 3) and arr.flags.c_contiguous for arr in stacked)
+    assert not any(np.shares_memory(a, b) for a, b in
+                   ((model.params, state.aux_params), (model.params, state.mult_params),
+                    (state.aux_params, state.mult_params)))
+    aux_views = (state.aux_u, state.aux_s, state.aux_t, state.aux_a, state.aux_b, state.aux_c)
+    mult_views = (state.phi, state.rho, state.psi, state.chi, state.vphi, state.sigma)
+    for arr, parts in ((model.params, model.blocks + tuple(v for _, v in model.arrays())),
+                       (state.aux_params, state.aux + aux_views),
+                       (state.mult_params, state.mult + mult_views)):
+        assert all(np.shares_memory(arr, part) for part in parts)
+    # users' rows, then services', then times'; the bias in the last column
+    model.params[4, 0], model.params[9, 2] = 7.0, 8.0
+    assert model.S[0, 0] == 7.0 and model.c[0] == 8.0 and model.blocks[1][0, 0] == 7.0
+    state.aux_params[3, 2], state.mult_params[11, 1] = 5.0, 6.0
+    assert state.aux_a[3] == 5.0 and state.psi[2, 1] == 6.0 and state.mult[2][2, 1] == 6.0
+    assert state.const.tolist() == np.concatenate(
+        [state.constants.tau, state.constants.nu, state.constants.omega]).tolist()
+
+
+def test_projection_and_dual_update_match_a_per_block_reference():
+    # user 3 and time 2 have no entries: their constants are 0 and their rows
+    # stay as they were, even with nonzero multipliers (mult / 0 is masked)
+    dims = (4, 3, 3)
+    rows = [(i, j, k, 1.0 + i + j + k) for i in range(3) for j in range(3) for k in range(2)
+            if (i + j + k) % 2]
+    t = build_tensor(dims, rows)
+    model = FactorModel.initialize(dims, 2, seed=1)
+    state, _ = make_state(model, t, lam=0.7)
+    assert (state.constants.tau == 0).tolist() == [False, False, False, True]
+    assert (state.constants.omega == 0).tolist() == [False, False, True]
+    rng = np.random.default_rng(9)
+    state.aux_params += rng.normal(0, 0.5, state.aux_params.shape)
+    state.mult_params += rng.normal(0, 0.5, state.mult_params.shape)
+    consts = (state.constants.tau, state.constants.nu, state.constants.omega)
+    empty = [(0, 3), (2, 2)]  # (mode, row)
+
+    want = [blk.copy() for blk in model.blocks]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for prim, aux, mult, c in zip(want, state.aux, state.mult, consts):
+            np.copyto(prim, np.maximum(0.0, aux + mult / c[:, None]), where=(c > 0)[:, None])
+    start = [blk.copy() for blk in model.blocks]
+    project_nonnegative(state, model)
+    assert [blk.tobytes() for blk in model.blocks] == [w.tobytes() for w in want]
+    assert all(model.blocks[m][r].tobytes() == start[m][r].tobytes() for m, r in empty)
+
+    want = [mult + 1.3 * c[:, None] * (aux - prim)
+            for aux, prim, mult, c in zip(state.aux, model.blocks, state.mult, consts)]
+    start = [mult.copy() for mult in state.mult]
+    update_multipliers(state, model, eta=1.3)
+    assert [mult.tobytes() for mult in state.mult] == [w.tobytes() for w in want]
+    assert all(state.mult[m][r].tobytes() == start[m][r].tobytes() for m, r in empty)
 
 
 # ---------------------------------------------------------------- lagrangian
@@ -755,6 +816,26 @@ def test_training_does_not_depend_on_chunk_size(seed, loss, rank):
     first = run(1)
     for chunk in (3, 32768, t.n_entries):
         assert run(chunk) == first
+
+
+def test_a_sweep_chunk_patched_between_epochs_takes_effect(monkeypatch):
+    # each epoch builds its chunk plan from the _SWEEP_CHUNK of the moment
+    obs, _, _ = synthesize(SynthSpec(dims=(6, 5, 4), rank=2, density=0.8, seed=2))
+    twin = FactorModel.initialize(obs.dims, 2, seed=0)  # two epochs, nothing patched
+    twin_state, config = make_state(twin, obs)
+    for _ in range(2):
+        train_epoch(twin_state, twin, obs, config)
+    model = FactorModel.initialize(obs.dims, 2, seed=0)
+    state, _ = make_state(model, obs)
+    plans, sweep = [], lftk.admm._sweep_column
+    monkeypatch.setattr(lftk.admm, "_sweep_column",
+                        lambda *args: (plans.append(len(args[4])), sweep(*args))[1])
+    train_epoch(state, model, obs, config)
+    monkeypatch.setattr(lftk.admm, "_SWEEP_CHUNK", 7)
+    train_epoch(state, model, obs, config)
+    n = obs.n_entries  # rank 2: 3 x 2 factor columns and 3 bias columns per epoch
+    assert plans == [1] * 9 + [-(-n // 7)] * 9 and n > 7
+    assert model.params.tobytes() == twin.params.tobytes()
 
 
 def test_train_epoch_peak_memory_per_entry():

@@ -16,6 +16,7 @@ from lftk import (
     dataio,
     FactorModel,
     RecordFormat,
+    SparseTensor,
     SynthSpec,
     load_records,
     mae,
@@ -570,15 +571,31 @@ def test_write_rows_formats_floats_as_fmt_real(seed, extra):
     assert buf.getvalue().splitlines() == [fmt_real(v) for v in values]
 
 
+@given(x=st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from(_positional_neighbours() + [0.0, -0.0, 5e-324, -5e-324]),
+))
+@example(x=1e16)
+@example(x=9999999999999998.0)
+@example(x=np.float64(-0.0))
+@settings(max_examples=500, deadline=None)
+def test_fmt_real_takes_repr_only_where_it_is_positional(x):
+    # repr is fmt_real's fast path at 0 and for 1e-4 <= |x| < 1e16, an integral
+    # value dropping its ".0"; numpy formats the rest (exponent forms, inf, nan)
+    assert fmt_real(x) == np.format_float_positional(float(x), unique=True, trim="-")
+
+
 def test_load_records_peak_memory_per_record(tmp_path, header=""):
     # Python objects per parsed record cost 146.7 B each at the peak; one
     # (i8, i8, i8, f8) record array plus the tensor's own copies, 89 B. Parsed in
     # blocks into the tensor's own arrays, the peak is their 14 B (int16
     # coordinates, float64 values) plus the 8 B duplicate-check keys: 23.0 B here,
     # 41.0 B with int64 coordinates. The 7 B margin covers the n/2-key merge
-    # buffer that a stable sort of unordered keys needs. A "#" header sends only
-    # its own block to the line parser (103.5 B when the whole file was parsed
-    # again line by line) and leaves one row unused, trimmed an array at a time.
+    # buffer that a stable sort of unordered keys needs. A "#" header starts no
+    # block (103.5 B when it sent the whole file through the line parser again)
+    # and leaves one row unused, trimmed an array at a time.
     dims = (100, 100, 20)
     ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
@@ -753,6 +770,31 @@ def test_binary_streams_stay_open_after_parsing():
         load_records(bad)
     gc.collect()
     assert not bad.closed
+
+
+@pytest.mark.parametrize("tail", ["", "# end\n"], ids=["plain", "trailing-comment"])
+def test_load_outlier_mask_peak_memory_per_row(tmp_path, tail):
+    # Parsed a block at a time, the peak is the rows' int64 parts and their
+    # concatenation, 48 B per row: measured at 49.6 B, and 49.2 B with a "#"
+    # line at the end, whose block alone goes to the line parser. Read whole as
+    # str lines and parsed again line by line on a decline, they were 122.4 B and
+    # 217.5 B per row.
+    dims = (100, 100, 20)
+    ii, jj, kk = np.unravel_index(np.arange(200_000), dims)
+    t = SparseTensor.from_arrays(dims, ii, jj, kk, np.ones(ii.size))
+    path = tmp_path / "outliers.txt"
+    write_outlier_mask(t, np.ones(ii.size, bool), path)
+    with path.open("a") as fh:
+        fh.write(tail)
+    tracemalloc.start()
+    try:
+        flagged = load_outlier_mask(path, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flagged.dtype == np.int64 and flagged.shape == (200_000, 3)
+    assert (flagged == np.stack([ii, jj, kk], axis=1)).all()
+    assert peak / len(flagged) <= 56
 
 
 def _mask_line_by_line(source, dims):
