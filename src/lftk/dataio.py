@@ -12,8 +12,6 @@ import io
 import itertools
 import json
 import math
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,71 +116,22 @@ def _blocks(lines):
         lineno += len(block)
 
 
-def _fill_records(lines, n_lines, fmt):
-    # ((3, n_lines) coordinates, n_lines float64 values, n): the n records among at
-    # most n_lines lines, parsed a block at a time into arrays allocated once. A
-    # block that numpy declines (a "#" line, a spelling it does not take, a
-    # warning) or that fails the base, finite or nonnegative check goes through the
-    # line parser alone, which builds what numpy accepts bit for bit and names the
-    # first bad line. The coordinates, base taken off, start as int16 and are widened
-    # whenever a block holds an index that their type does not.
-    idx, y, n = np.empty((3, n_lines), np.int16), np.empty(n_lines), 0
+def _parse_block(first, block, fmt):
+    # (coordinates, values) of one block's records, the coordinates less the index base
+    # in the narrowest type that holds the block's own largest. numpy parses the block;
+    # one that it declines (a "#" line, a spelling it does not take, a warning) or that
+    # fails the base, finite or nonnegative check goes through the line parser alone,
+    # which builds what numpy accepts bit for bit and names the first bad line.
     sep, base = None if fmt.sep == " " else fmt.sep, fmt.index_base
-    for first, block in _blocks(lines):
-        rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
-        if (rec is None or not rec.size or min(rec[c].min() for c in "ijk") < base
-                or not (rec["y"].min() >= 0 and rec["y"].max() < np.inf)):  # NaN fails too
-            rec = _parse_records(block, fmt, first)  # a record line first: never empty
-        coords = [rec[c] for c in "ijk"]
-        wide = _index_dtype((int(max(c.max() for c in coords)) - base + 1,))
-        if wide.itemsize > idx.itemsize:
-            idx = idx.astype(wide)
-        for row, c in zip(idx, coords):  # in range of the row's type: exact
-            np.subtract(c, base, out=row[n : n + rec.size], casting="unsafe")
-        y[n : n + rec.size] = rec["y"]
-        n += rec.size
-    return idx, y, n
-
-
-@contextlib.contextmanager
-def _rewindable(fh):
-    # (stream, position to seek back to): fh itself, or a temporary copy of what
-    # is left of a stream that cannot seek. The copy holds any str and keeps line
-    # ends as they are, so it splits lines as fh does when fh reads universal
-    # newlines (the default) or newline="".
-    try:
-        start = fh.tell() if fh.seekable() else None
-    except OSError:  # tell() after a caller's next()
-        start = None
-    if start is not None:
-        yield fh, start
-        return
-    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
-                                newline="") as copy:
-        shutil.copyfileobj(fh, copy, 1 << 16)
-        copy.seek(0)
-        yield copy, 0
-
-
-def _count_lines(fh, start):
-    # At least as many lines from start on as iterating fh splits, whatever its
-    # newline mode: a "\n" or a lone "\r" ends one. fh is left at start. A stream that
-    # does not decode raises here, where iterating it meets the error, as the line
-    # parser does: a read of its own may meet it at another byte position.
-    n, last = 0, "\n"
-    try:
-        for chunk in iter(lambda: fh.read(1 << 16), ""):
-            # numpy counts the "\n" bytes of the UTF-8 in a quarter of str.count's time
-            raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
-            n, last = n + np.count_nonzero(raw == 10), chunk[-1]
-            if "\r" in chunk:
-                n += chunk.count("\r") - chunk.count("\r\n")
-    except UnicodeDecodeError:
-        fh.seek(start)
-        for _ in fh:
-            pass
-    fh.seek(start)
-    return n + (last != "\n")
+    rec = loadtxt_or_none(block, _RECORD_DTYPE, sep)
+    if (rec is None or not rec.size or min(rec[c].min() for c in "ijk") < base
+            or not (rec["y"].min() >= 0 and rec["y"].max() < np.inf)):  # NaN fails too
+        rec = _parse_records(block, fmt, first)  # a record line first: never empty
+    top = max(int(rec[c].max()) for c in "ijk") - base
+    idx = np.empty((3, rec.size), _index_dtype((top + 1,)))
+    for row, c in zip(idx, "ijk"):  # in range of the row's type: exact
+        np.subtract(rec[c], base, out=row, casting="unsafe")
+    return idx, rec["y"].copy()
 
 
 def load_records(source, fmt=RecordFormat(), dims=None):
@@ -196,21 +145,23 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     with their line number; duplicate and out-of-range coordinates are
     rejected when the tensor is built, naming the cell as the file writes it.
 
-    The lines are counted first (a stream in one read pass, then a seek
-    back; a stream that cannot seek is copied to a temporary file first),
-    then read once, a block of lines at a time. numpy parses a block
-    straight into the arrays the tensor keeps; a block it does not accept
-    (a comment line included) is parsed alone line by line, which gives
-    the same records or the line-numbered error.
+    The source is read once, as iterating it splits lines (so a pipe
+    splits them as any stream in its newline mode does), a block of lines
+    at a time. numpy parses a block; a block it does not accept (a comment
+    line included) is parsed alone line by line, which gives the same
+    records or the line-numbered error. Each block keeps its coordinates
+    in the narrowest type that holds them, and the blocks are joined once
+    at the end, values first, into the widest of those types.
     """
-    with _text_stream(source) as raw, _rewindable(raw) as (fh, start):
-        idx, y, n = _fill_records(fh, _count_lines(fh, start), fmt)
-    if n < y.size:  # rows left unused by blank and "#" lines: trimmed in turn, so the
-        # peak holds a copy of one array, not of both
-        y = y[:n].copy()
-        idx = idx[:, :n].copy()
+    with _text_stream(source) as fh:  # a helper per block: only its arrays outlive it
+        parts = [_parse_block(first, block, fmt) for first, block in _blocks(fh)]
+    parts.append((np.empty((3, 0), np.int16), np.empty(0)))  # a source of no record joins too
+    y = np.concatenate([y for _, y in parts])
+    idx = [idx for idx, _ in parts]
+    del parts  # the blocks' values go here, their coordinates once joined
+    idx = np.concatenate(idx, axis=1)
     if dims is None:
-        if not n:
+        if not y.size:
             raise DataFormatError("no records found and no dims given")
         dims = tuple(int(m) + 1 for m in idx.max(axis=1))
     try:

@@ -383,11 +383,11 @@ _BLOCK_EDGE_ENTRIES = [(0, 0, 0, 1.5), (1, 0, 2, 2.0), (2, 1, 0, 3.0), (0, 1, 1,
                        (1, 1, 1, 4.25)]
 
 
-def _pipe(text):
+def _pipe(text, newline=None):
     r, w = os.pipe()
     os.write(w, text.encode())
     os.close(w)
-    return os.fdopen(r, "r", encoding="utf-8")
+    return os.fdopen(r, "r", encoding="utf-8", newline=newline)
 
 
 def _mid_file(tmp_path, text):
@@ -404,7 +404,7 @@ def _mid_file(tmp_path, text):
     lambda tmp_path: io.StringIO(_BLOCK_EDGES + "\n\n  \n"),  # trailing blank lines
     lambda tmp_path: io.StringIO(_BLOCK_RECORDS.rstrip("\n")),  # no final newline
     lambda tmp_path: io.BytesIO(_BLOCK_EDGES.encode()),
-    lambda tmp_path: _pipe(_BLOCK_EDGES),  # cannot seek: copied to a temporary file
+    lambda tmp_path: _pipe(_BLOCK_EDGES),  # cannot seek: read once, as it comes
     lambda tmp_path: _mid_file(tmp_path, _BLOCK_EDGES),
 ], ids=["blank-at-block-edge", "trailing-blanks", "no-final-newline", "binary",
         "non-seekable", "opened-mid-file"])
@@ -489,17 +489,21 @@ def test_undecodable_input_past_the_count_raises_the_line_parsers_error(tmp_path
 
 
 @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
-def test_line_count_bounds_the_lines_of_every_newline_mode(newline):
-    # a "\n" or a lone "\r" ends a line in one mode or another: counting both never
-    # leaves a stream's records without rows
+def test_a_pipe_splits_lines_as_the_same_stream_does(newline):
+    # a "\n" or a lone "\r" ends a line in one newline mode or another: a pipe gives
+    # the outcome of a stream that can seek, and blocks that of the line parser. Under
+    # "\n" and "\r\n", "0 0 0 1\r1 0 0 2" is one line of 8 fields.
     text = "0 0 0 1\r1 0 0 2\n2 0 0 3\r\n\r\r3 0 0 4\n\r4 0 0 5\r"
 
     def stream():
         return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
 
-    assert dataio._count_lines(stream(), 0) >= len(list(stream()))
     with mock.patch.object(dataio, "_PARSE_BLOCK", 2):
-        assert _outcome(load_records, stream()) == _outcome(_load_line_by_line, stream())
+        want = _outcome(load_records, stream())
+        assert want == _outcome(_load_line_by_line, stream())
+    with _pipe(text, newline) as pipe:
+        assert not pipe.seekable()
+        assert _outcome(load_records, pipe) == want
 
 
 def test_underscored_coordinate_is_read_as_python_reads_it():
@@ -587,17 +591,18 @@ def test_fmt_real_takes_repr_only_where_it_is_positional(x):
     assert fmt_real(x) == np.format_float_positional(float(x), unique=True, trim="-")
 
 
-def test_load_records_peak_memory_per_record(tmp_path, header=""):
+def test_load_records_peak_memory_per_record(tmp_path, header="", j0=0, dtype=np.int16,
+                                             bound=30):
     # Python objects per parsed record cost 146.7 B each at the peak; one
     # (i8, i8, i8, f8) record array plus the tensor's own copies, 89 B. Parsed in
-    # blocks into the tensor's own arrays, the peak is their 14 B (int16
-    # coordinates, float64 values) plus the 8 B duplicate-check keys: 23.0 B here,
-    # 41.0 B with int64 coordinates. The 7 B margin covers the n/2-key merge
-    # buffer that a stable sort of unordered keys needs. A "#" header starts no
-    # block (103.5 B when it sent the whole file through the line parser again)
-    # and leaves one row unused, trimmed an array at a time.
+    # blocks, then joined, the peak is the tensor's 14 B (int16 coordinates,
+    # float64 values) plus the 8 B duplicate-check keys: 23.0 B here. The 7 B
+    # margin covers the n/2-key merge buffer that a stable sort of unordered keys
+    # needs. A "#" header starts no block (103.5 B when it sent the whole file
+    # through the line parser again).
     dims = (100, 100, 20)
     ii, jj, kk = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
+    jj += j0
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
     path = tmp_path / "r.txt"
     with path.open("w") as fh:
@@ -610,15 +615,23 @@ def test_load_records_peak_memory_per_record(tmp_path, header=""):
     finally:
         tracemalloc.stop()
     assert t.n_entries == ii.size == 200_000
-    assert peak / t.n_entries <= 30
+    assert peak / t.n_entries <= bound
     # the headerless file's tensor, bit for bit
-    assert t.dims == dims and t.idx.dtype == np.int16 and t.idx.flags.c_contiguous
+    assert t.dims == (100, 100 + j0, 20) and t.idx.dtype == dtype
+    assert t.idx.flags.c_contiguous
     np.testing.assert_array_equal(t.idx, np.stack([ii, jj, kk]))
     assert t.y.tobytes() == y.tobytes()
 
 
 def test_a_headed_file_loads_within_the_plain_files_peak_memory(tmp_path):
     test_load_records_peak_memory_per_record(tmp_path, header="# user service time value\n")
+
+
+def test_int32_coordinates_load_within_their_join_s_peak_memory(tmp_path):
+    # a service index past int16 on every line: the blocks' int32 coordinates and
+    # their join are held together, 32.0 B per record (29.0 B when the rows were
+    # allocated once from a line count; with int64 coordinates 56.0 B against 41.0 B)
+    test_load_records_peak_memory_per_record(tmp_path, j0=40_000, dtype=np.int32, bound=36)
 
 
 def test_synthesize_peak_memory_per_entry():
@@ -715,19 +728,20 @@ class _CountingStream(io.StringIO):
         return line
 
 
-def test_a_headed_seekable_stream_is_read_once_to_count_and_once_to_parse():
-    # a "#" line sends its block to the line parser, not the whole stream again
+def test_a_headed_seekable_stream_is_read_once():
+    # no count pass and no seek back: a "#" header starts no block, and nothing is
+    # read twice
     text = "# user service time value\n0 0 0 1.5\n1 0 2 2\n\n2 1 0 3\n"
     fh = _CountingStream(text)
     t = load_records(fh)
     assert t.entries() == [(0, 0, 0, 1.5), (1, 0, 2, 2.0), (2, 1, 0, 3.0)]
-    assert fh.chars == 2 * len(text)
+    assert fh.chars == len(text)
 
 
 def test_load_records_from_a_pipe_peak_memory_per_record(tmp_path):
-    # a stream that cannot seek is copied to a temporary file in 64 KiB chunks and
-    # parsed from there, within the file path's bound: 23.1 B per record (41.1 B
-    # with int64 coordinates, 125.1 B when its lines were read into a list)
+    # a stream that cannot seek is read once, as a file is, within the file path's
+    # bound: 23.1 B per record (56.1 B with int64 coordinates, 125.1 B when its lines
+    # were read into a list)
     ii, jj, kk = np.unravel_index(np.arange(200_000), (100, 100, 20))
     y = np.random.default_rng(0).uniform(0, 5, ii.size)
     path = tmp_path / "r.txt"

@@ -9,11 +9,13 @@ everything built on the block agrees with the same work done in int64.
 import io
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from lftk import DataFormatError, RecordFormat, SparseTensor, SplitSpec, load_records, split
+from lftk import (DataFormatError, RecordFormat, SparseTensor, SplitSpec, dataio, load_records,
+                  split)
 from lftk._util import fmt_real, write_rows
 from lftk.cli import main
 from lftk.dataio import write_records
@@ -136,6 +138,24 @@ def test_split_gives_the_parts_of_an_int64_tensor(tmp_path, capsys, top, base):
         rows = [tuple(c) for c in want.idx.T.tolist()]
         assert (tmp_path / "s" / f"{name}.txt").read_text() == _record_text(
             rows, base, want.y.tolist())
+
+
+def test_blocks_widen_to_the_one_block_parse(tmp_path, base):
+    # in blocks of 2 lines the first block holds int16 indices only, and later
+    # blocks need int32 and then int64: joined, they build the tensor that one
+    # block of the whole file builds
+    cells = [(0, 0, 0), (7, 2, 5), (40_000, 1, 3), (2, 0, 2**31 - 1),
+             (2**31, 2, 1), (4, 1, 2**40)]
+    src = tmp_path / "r.txt"
+    src.write_text(_record_text(cells, base))
+    fmt = RecordFormat(index_base=base)
+    want = load_records(src, fmt)
+    with mock.patch.object(dataio, "_PARSE_BLOCK", 2):
+        got = load_records(src, fmt)
+    assert want.dims == got.dims == (2**31 + 1, 3, 2**40 + 1)
+    assert want.idx.dtype == got.idx.dtype == np.int64 and got.idx.flags.c_contiguous
+    assert got.idx.T.tolist() == [list(c) for c in cells]
+    assert got.idx.tobytes() == want.idx.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 @pytest.mark.parametrize("dtype, top", [(np.int16, 32767), (np.int32, 2**31 - 1)])
