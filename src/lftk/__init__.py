@@ -14,7 +14,6 @@ from .admm import (
     TrainConfig,
     cauchy_weight,
     compute_augmentation_constants,
-    lagrangian_value,
     project_nonnegative,
     train,
     train_epoch,
@@ -51,7 +50,6 @@ __all__ = [
     "build_tensor",
     "cauchy_weight",
     "compute_augmentation_constants",
-    "lagrangian_value",
     "load_model",
     "load_records",
     "mae",

@@ -41,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _open_sink, fmt_real
+from ._util import _open_sink
 from .errors import DivergenceError
-from .evaluation import EvalReport, mae
+from .evaluation import Epoch, EvalReport, mae
 from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
-from .model import FactorModel, _predict, block_views, check_loss, loss_sum, mode_rows, objective
+from .model import FactorModel, _predict, block_views, check_loss, mode_rows, objective
 from .tensor import MODES
 
 # Magnitude at which training is declared divergent; the coupled
@@ -242,21 +242,6 @@ def update_multipliers(state, model, eta):
     state.mult_params += eta * state.const[:, None] * (state.aux_params - model.params)
 
 
-def lagrangian_value(state, model, tensor, config):
-    """Full augmented Lagrangian; diagnostics only.
-
-    Half the loss over the auxiliary predictions, plus the quadratic
-    penalties (const/2)(aux - primal + mult/const)^2, minus the constant
-    term sum mult^2 / (2 const). Zero-constant entities contribute nothing.
-    """
-    e = tensor.y - state.aux_prediction(tensor)
-    on = state.active
-    c, mult = state.const[on][:, None], state.mult_params[on]
-    gap = state.aux_params[on] - model.params[on] + mult / c
-    penalty = float((0.5 * c * gap * gap - mult**2 / (2.0 * c)).sum())
-    return 0.5 * loss_sum(e, config.loss, config.gamma) + penalty
-
-
 def _sweep_column(state, axis, col, fixed, plan, prev):
     # One auxiliary column for every entity of the mode at once, chunk by chunk
     # through the epoch's plan. A chunk's coordinates are made intp once for all its
@@ -371,8 +356,8 @@ def train(tensor_train, tensor_val, config, log=None):
     The training and validation tensors must share dims and are expected
     to hold disjoint entry sets (not enforced here; ``lftk train`` rejects a
     validation file that shares a cell with its training file). ``log``,
-    when given, is a file path or a writable stream receiving one
-    diagnostic line per epoch:
+    when given, is a file path or a writable stream receiving each epoch's
+    report row as one line (:meth:`~lftk.evaluation.Epoch.log_line`):
     ``epoch <n> obj <v> val_mae <v> max_primal_residual <v>``.
     """
     config.validate()
@@ -388,8 +373,8 @@ def train(tensor_train, tensor_val, config, log=None):
     skipped = {mode: int(off.sum())
                for mode, off in zip(MODES, mode_rows(~state.active, state.dims))}
 
-    best_model, best_val, best_epoch = model.copy(), math.inf, 0
-    progress_ref, stall, rows, divergence = math.inf, 0, [], None
+    best_model, report = model.copy(), EvalReport([], 0, math.inf, skipped)
+    progress_ref, stall = math.inf, 0
 
     # opened only once the inputs are validated, so a rejected run leaves no log
     with _open_sink(log) as log_fh:
@@ -397,27 +382,21 @@ def train(tensor_train, tensor_val, config, log=None):
             try:
                 obj, max_gap = train_epoch(state, model, tensor_train, config)
             except DivergenceError as exc:
-                divergence = {"group": exc.group, "reason": exc.reason}
+                report.diverged = True
+                report.divergence = {"group": exc.group, "reason": exc.reason}
                 break
-            val = mae(model, tensor_val)
-            rows.append((epoch, obj, val, max_gap))
+            row = Epoch(epoch, obj, mae(model, tensor_val), max_gap)
+            report.epochs.append(row)
             if log_fh is not None:
-                log_fh.write(
-                    f"epoch {epoch} obj {fmt_real(obj)} val_mae {fmt_real(val)}"
-                    f" max_primal_residual {fmt_real(max_gap)}\n"
-                )
-            if val < best_val:  # the snapshot takes the model's parameters in place
+                log_fh.write(row.log_line() + "\n")
+            if row.val_mae < report.best_val_mae:  # the snapshot takes the parameters in place
                 np.copyto(best_model.params, model.params)
-                best_val, best_epoch = val, epoch
-            if val < progress_ref - config.min_delta:
-                progress_ref = val
+                report.best_val_mae, report.best_epoch = row.val_mae, epoch
+            if row.val_mae < progress_ref - config.min_delta:
+                progress_ref = row.val_mae
                 stall = 0
             else:
                 stall += 1
             if stall >= config.patience:
                 break
-
-    report = EvalReport(epochs=rows, best_epoch=best_epoch, best_val_mae=best_val,
-                        skipped_entities=skipped, diverged=divergence is not None,
-                        divergence=divergence)
     return best_model, report

@@ -184,19 +184,8 @@ def cmd_train(args):
     _write_manifest(
         str(args.model_out) + ".manifest.json",
         "train",
-        {
-            "loss": config.loss,
-            "rank": config.rank,
-            "gamma": config.gamma,
-            "lambda": config.lam,
-            "eta": config.eta,
-            "max_epochs": config.max_epochs,
-            "patience": config.patience,
-            "min_delta": config.min_delta,
-            "dims": list(dims),
-            "format": args.format,
-            "index_base": args.index_base,
-        },
+        {"lambda" if k == "lam" else k: v for k, v in asdict(config).items() if k != "seed"}
+        | {"dims": list(dims), "format": args.format, "index_base": args.index_base},
         [args.train, args.val],
         config.seed,
     )

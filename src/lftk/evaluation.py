@@ -2,9 +2,11 @@
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from ._util import fmt_real
 from .model import _observed_and_predicted
 
 
@@ -30,17 +32,34 @@ class SplitSpec:
             raise ValueError("split ratios must be nonnegative")
 
 
+class Epoch(NamedTuple):
+    """A training report's row for one epoch.
+
+    ``obj`` is the training objective of the projected model, and
+    ``max_primal_residual`` the largest auxiliary-primal gap.
+    """
+
+    epoch: int
+    obj: float
+    val_mae: float
+    max_primal_residual: float
+
+    def log_line(self):
+        """Each field's name, then its value as :func:`fmt_real` writes it."""
+        return " ".join(f"{name} {fmt_real(v)}" for name, v in zip(self._fields, self))
+
+
 @dataclass
 class EvalReport:
     """Per-epoch training diagnostics plus the held-out result.
 
-    ``epochs`` rows are (epoch, training objective, validation MAE, max
-    primal residual). ``skipped_entities`` counts, per mode, the entities
-    with no training entries; these keep their initial factors and are
-    the cold entities of any later test set. ``divergence`` holds the
-    ``group`` and ``reason`` of a divergence, and :meth:`summary` reports it
-    only for a run that diverged. When no epoch completed, ``best_val_mae``
-    is infinite and :meth:`summary` reports it as ``None`` (JSON ``null``).
+    ``epochs`` holds one :class:`Epoch` row per completed epoch.
+    ``skipped_entities`` counts, per mode, the entities with no training
+    entries; these keep their initial factors and are the cold entities of
+    any later test set. ``divergence`` holds the ``group`` and ``reason``
+    of a divergence, and :meth:`summary` reports it only for a run that
+    diverged. When no epoch completed, ``best_val_mae`` is infinite and
+    :meth:`summary` reports it as ``None`` (JSON ``null``).
     """
 
     epochs: list

@@ -22,7 +22,6 @@ from lftk import (
     build_tensor,
     cauchy_weight,
     compute_augmentation_constants,
-    lagrangian_value,
     mae,
     objective,
     project_nonnegative,
@@ -35,7 +34,7 @@ from lftk import (
     update_auxiliary_factor_row,
     update_multipliers,
 )
-from lftk.evaluation import SplitSpec
+from lftk.evaluation import Epoch, SplitSpec
 from lftk.model import LOSS_MODES
 from lftk.tensor import MODES
 from oracles import PlainState, frozen_subproblem, golden_section, grid_min
@@ -342,47 +341,6 @@ def test_projection_and_dual_update_match_a_per_block_reference():
     update_multipliers(state, model, eta=1.3)
     assert [mult.tobytes() for mult in state.mult] == [w.tobytes() for w in want]
     assert all(state.mult[m][r].tobytes() == start[m][r].tobytes() for m, r in empty)
-
-
-# ---------------------------------------------------------------- lagrangian
-
-
-def test_lagrangian_zero_cases():
-    t = build_tensor((1, 1, 1), [(0, 0, 0, 0.0)])
-    model = zero_model((1, 1, 1), 1)
-    state, config = make_state(model, t)
-    assert lagrangian_value(state, model, t, config) == 0.0
-
-
-def test_lagrangian_zero_at_feasible_exact_fit():
-    # nonzero entry fitted exactly, aux == primal, multipliers zero
-    t = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
-    model = FactorModel(U=[[1.0]], S=[[1.0]], T=[[1.0]], a=[0.0], b=[0.0], c=[0.0])
-    state, config = make_state(model, t)
-    assert lagrangian_value(state, model, t, config) == 0.0
-
-
-def test_lagrangian_half_log_two():
-    t = build_tensor((1, 1, 1), [(0, 0, 0, 1.0)])
-    model = zero_model((1, 1, 1), 1)
-    state, config = make_state(model, t, gamma=1.0)
-    got = lagrangian_value(state, model, t, config)
-    assert got == pytest.approx(0.5 * math.log(2), rel=1e-12)
-
-
-def test_lagrangian_includes_penalty_and_constant_term():
-    t = build_tensor((1, 1, 1), [(0, 0, 0, 0.0)])
-    model = zero_model((1, 1, 1), 1)
-    state, config = make_state(model, t, lam=1.0)
-    state.aux_u[0, 0] = 0.3
-    state.aux_s[0, 0] = 1.0
-    state.aux_t[0, 0] = 1.0
-    state.phi[0, 0] = 0.4
-    # aux prediction 0.3 -> loss 0.5*ln(1 + 0.09)
-    # penalties: u: 0.5*(0.3 - 0 + 0.4)^2; s and t: 0.5*(1 - 0)^2 each
-    # constant term: 0.4^2 / 2
-    expected = 0.5 * math.log(1 + 0.09) + 0.5 * 0.49 + 0.5 + 0.5 - 0.08
-    assert lagrangian_value(state, model, t, config) == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------------- train_epoch
@@ -709,6 +667,19 @@ def test_train_keeps_best_snapshot_and_logs(tmp_path):
     float(head[3]), float(head[5]), float(head[7])  # machine-parseable reals
     # reported best MAE must be reproducible from the returned snapshot
     assert mae(model, va) == pytest.approx(report.best_val_mae, rel=1e-12)
+
+
+def test_every_log_line_reads_back_as_its_report_row():
+    tr, va, te = noise_free_case(seed=3)
+    sink = io.StringIO()
+    _, report = train(tr, va, TrainConfig(rank=2, max_epochs=12, patience=12, seed=3), log=sink)
+    lines = sink.getvalue().splitlines()
+    assert len(lines) == len(report.epochs) == 12
+    for line, row in zip(lines, report.epochs):
+        words = line.split()
+        assert isinstance(row, Epoch) and tuple(words[::2]) == Epoch._fields
+        # the shortest round-trip decimal: each value parses back bit for bit
+        assert all(float(v) == row[n] for n, v in enumerate(words[1::2]))
 
 
 def test_train_log_takes_a_path_or_a_stream(tmp_path):

@@ -17,7 +17,6 @@ PUBLIC_API = [
     "build_tensor",
     "cauchy_weight",
     "compute_augmentation_constants",
-    "lagrangian_value",
     "load_model",
     "load_records",
     "mae",
@@ -37,7 +36,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 31
+    assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 30
     assert lftk.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(lftk, name) is not None

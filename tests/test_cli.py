@@ -6,7 +6,7 @@ import runpy
 import stat
 import tracemalloc
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
@@ -733,6 +733,27 @@ def test_parsed_defaults_are_the_dataclass_defaults(argv, cls):
     assert {k: repr(getattr(args, k)) for k in defaults} == {
         k: repr(v) for k, v in defaults.items()
     }
+
+
+def test_train_manifest_holds_every_hyperparameter_as_given(tmp_path, capsys):
+    train_file, val_file, model = tmp_path / "t.txt", tmp_path / "v.txt", tmp_path / "m.model"
+    train_file.write_text("1,1,1,1.5\n2,2,1,2\n2,1,2,1\n")
+    val_file.write_text("1,2,2,1.2\n")
+    given = {"loss": "l2", "rank": 2, "gamma": 2.5, "lambda": 0.3, "eta": 1.5,
+             "max_epochs": 3, "patience": 7, "min_delta": 0.001}
+    defaults = {"lambda" if k == "lam" else k: v for k, v in asdict(TrainConfig()).items()}
+    # every flag but --seed, which the manifest keeps apart, set away from its default
+    assert set(given) == set(defaults) - {"seed"}
+    assert all(v != defaults[k] for k, v in given.items()) and defaults["seed"] != 9
+    flags = [arg for k, v in given.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+    code, _, _ = run(["train", "--train", str(train_file), "--val", str(val_file),
+                      "--format", "comma", "--index-base", "1", *flags, "--seed", "9",
+                      "--model-out", str(model)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "m.model.manifest.json").read_text())
+    assert manifest["seed"] == 9
+    assert manifest["parameters"] == given | {"dims": [2, 2, 2], "format": "comma",
+                                              "index_base": 1}
 
 
 @pytest.fixture

@@ -419,8 +419,8 @@ def test_blocks_of_a_stream_build_its_tensor_without_the_line_parser(tmp_path, m
 
 
 @pytest.mark.parametrize("newline", ["\r", "\n"])
-def test_more_lines_than_counted_fall_back_to_the_line_parser(newline):
-    # a stream that splits lines on "\r" holds more lines than its "\n" count
+def test_a_stream_that_keeps_its_line_endings_loads_every_record(newline):
+    # newline="" ends a line at a lone "\r" as at "\n", and leaves the ending on the line
     text = newline.join(["0 0 0 1", "1 0 0 2", "2 0 0 3"]) + newline
     fh = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
     assert load_records(fh).entries() == [(0, 0, 0, 1.0), (1, 0, 0, 2.0), (2, 0, 0, 3.0)]
@@ -476,9 +476,10 @@ def test_undecodable_input_raises_the_line_parsers_error(tmp_path):
     assert str(got.value) == str(want.value)
 
 
-def test_undecodable_input_past_the_count_raises_the_line_parsers_error(tmp_path):
-    # the count's 64 KiB reads miss the lines of the chunk before the bad byte, and
-    # iterating would read whole blocks of them: the error comes before any block
+def test_undecodable_input_blocks_in_raises_the_line_parsers_error(tmp_path):
+    # the bad byte lies in the sixth block of lines, and the error gives its position in
+    # the chunk the text stream was decoding: the same only if the file is read as the
+    # line parser reads it, by iterating lines from the start
     path = tmp_path / "r.txt"
     path.write_bytes(b"0 0 0 1\n" * 24384 + b"1 1 1 \xff\n")
     with pytest.raises(UnicodeDecodeError) as want, path.open(encoding="utf-8") as fh:
