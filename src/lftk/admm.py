@@ -349,7 +349,8 @@ def train(tensor_train, tensor_val, config, log=None):
     Runs up to ``config.max_epochs`` epochs; validation MAE is computed
     after each epoch and the best snapshot retained (ties keep the
     earliest epoch). Training stops once ``patience`` consecutive epochs
-    fail to improve the best-seen MAE by at least ``min_delta``
+    fail to get more than ``min_delta`` below the validation MAE of the
+    last epoch that did, which need not be the best-seen MAE
     (``patience=0`` therefore stops after the first epoch). On divergence
     the best snapshot so far is returned with the report flagged.
 

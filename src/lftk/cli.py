@@ -1,9 +1,9 @@
 """Command-line toolkit: synth, split, train, eval, predict.
 
-Every command takes all of its inputs from flags (no config files) and
-writes a JSON manifest recording the resolved parameters, input digests,
-and seed, so batch runs are reproducible. Exit codes: 0 success, 1 usage
-error, 2 input format error, 3 numerical divergence.
+Every command takes all of its inputs from flags (no config files); synth,
+split, train and predict write a JSON manifest of the resolved parameters,
+input digests and seed, so batch runs are reproducible. Exit codes: 0
+success, 1 usage error, 2 input format error, 3 numerical divergence.
 """
 
 import argparse
@@ -49,23 +49,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# the only fields whose flag and manifest key are not their own name
+_KEYS = {"lam": "lambda", "delimiter": "format"}
+
+
+def _add_fields(p, cls, **extras):
+    # one flag per field, named, typed and defaulted by it; extras adds per-field options
+    for f in fields(cls):
+        kw = {"required": True} if f.default is MISSING else {"default": f.default}
+        p.add_argument("--" + _KEYS.get(f.name, f.name).replace("_", "-"), dest=f.name,
+                       **{"type": f.type} | kw | extras.get(f.name, {}))
+
+
 def _add_format_flags(p):
-    p.add_argument("--format", choices=("whitespace", "comma"), default="whitespace",
-                   help="record delimiter (default whitespace)")
-    p.add_argument("--index-base", type=int, choices=(0, 1), default=0,
-                   help="index base of record files (default 0)")
+    _add_fields(p, RecordFormat,
+                delimiter={"choices": ("whitespace", "comma"),
+                           "help": "record delimiter (default whitespace)"},
+                index_base={"choices": (0, 1), "help": "index base of record files (default 0)"})
 
 
-def _record_format(args):
-    return RecordFormat(delimiter=args.format, index_base=args.index_base)
-
-
-def _field_defaults(cls):
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-def _from_args(cls, args, **resolved):  # one flag per field, same name
+def _from_args(cls, args, **resolved):  # one flag per field, its dest the field name
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | resolved)
+
+
+def _params(obj):  # manifest parameters: every field but the seed, under its key
+    return {_KEYS.get(k, k): v for k, v in asdict(obj).items() if k != "seed"}
 
 
 def _write_manifest(path, command, params, input_paths, seed):
@@ -112,7 +120,7 @@ def cmd_synth(args):
     _write_manifest(
         out / "manifest.json",
         "synth",
-        {k: v for k, v in asdict(spec).items() if k != "seed"},
+        _params(spec),
         [],
         spec.seed,
     )
@@ -123,7 +131,7 @@ def cmd_synth(args):
 def cmd_split(args):
     m, n, o = _parse_ratios(args.ratios)
     spec = SplitSpec(m, n, o, seed=args.seed)
-    fmt = _record_format(args)
+    fmt = _from_args(RecordFormat, args)
     tensor = load_records(args.input, fmt)
     n_entries, dims = tensor.n_entries, tensor.dims
     parts = list(split(tensor, spec))
@@ -137,12 +145,7 @@ def cmd_split(args):
     _write_manifest(
         out / "manifest.json",
         "split",
-        {
-            "ratios": [m, n, o],
-            "format": args.format,
-            "index_base": args.index_base,
-            "dims": list(dims),
-        },
+        {"ratios": [m, n, o]} | _params(fmt) | {"dims": list(dims)},
         [args.input],
         spec.seed,
     )
@@ -152,7 +155,7 @@ def cmd_split(args):
 
 def cmd_train(args):
     config = _from_args(TrainConfig, args)
-    fmt = _record_format(args)
+    fmt = _from_args(RecordFormat, args)
     dims = parse_dims(args.dims) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
     tensor_val = load_records(args.val, fmt, dims)
@@ -171,7 +174,7 @@ def cmd_train(args):
     shared = np.intersect1d(_cell_keys(dims, tensor_train.idx), val_keys, assume_unique=True)
     if shared.size:  # sorted as the cells are: the (i, j, k)-first, named as filed
         pos = np.flatnonzero(val_keys == shared[0])[0]
-        cell = tuple(v + args.index_base for v in tensor_val.idx[:, pos].tolist())
+        cell = tuple(v + fmt.index_base for v in tensor_val.idx[:, pos].tolist())
         raise DataFormatError(f"validation file shares the cell {cell} with the training file")
     del val_keys, shared
 
@@ -184,8 +187,7 @@ def cmd_train(args):
     _write_manifest(
         str(args.model_out) + ".manifest.json",
         "train",
-        {"lambda" if k == "lam" else k: v for k, v in asdict(config).items() if k != "seed"}
-        | {"dims": list(dims), "format": args.format, "index_base": args.index_base},
+        _params(config) | {"dims": list(dims)} | _params(fmt),
         [args.train, args.val],
         config.seed,
     )
@@ -199,7 +201,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_model(args.model)
-    tensor = load_records(args.test, _record_format(args), model.dims)
+    tensor = load_records(args.test, _from_args(RecordFormat, args), model.dims)
     if not tensor.n_entries:
         raise DataFormatError("no records found in the test file")
     print(f"mae {fmt_real(mae(model, tensor))}")
@@ -215,13 +217,13 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    fmt = _record_format(args)
+    fmt = _from_args(RecordFormat, args)
     tensor = load_records(args.entries, fmt, model.dims)
     write_predictions(model, tensor, args.out, fmt)
     _write_manifest(
         str(args.out) + ".manifest.json",
         "predict",
-        {"format": args.format, "index_base": args.index_base},
+        _params(fmt),
         [args.model, args.entries],
         None,
     )
@@ -236,15 +238,9 @@ def build_parser():
 
     p = sub.add_parser("synth",
                        help="generate a synthetic low-rank dataset")
-    p.add_argument("--dims", required=True, help="tensor dims as IxJxK")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--noise-std", type=float)
-    p.add_argument("--outlier-rate", type=float)
-    p.add_argument("--outlier-scale", type=float)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, SynthSpec, dims={"type": str, "help": "tensor dims as IxJxK"})
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth, **_field_defaults(SynthSpec))
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split",
                        help="split a record file into train/validation/test")
@@ -259,20 +255,12 @@ def build_parser():
     p.add_argument("--train", required=True, help="training record file")
     p.add_argument("--val", required=True, help="validation record file")
     p.add_argument("--dims", help="tensor dims as IxJxK (default: inferred)")
-    p.add_argument("--loss", choices=LOSS_MODES)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--min-delta", type=float)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, TrainConfig, loss={"choices": LOSS_MODES})
     p.add_argument("--model-out", required=True)
     p.add_argument("--log-out", help="per-epoch diagnostic log (default <model-out>.log)")
     p.add_argument("--report-out", help="JSON training report (default <model-out>.report.json)")
     _add_format_flags(p)
-    p.set_defaults(func=cmd_train, **_field_defaults(TrainConfig))
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a test file")
     p.add_argument("--model", required=True)

@@ -20,7 +20,7 @@ from ._util import _is_path, _open_sink, fmt_real, loadtxt_or_none, write_rows
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
-from .tensor import SparseTensor, _index_dtype, entry_arrays
+from .tensor import SparseTensor, _index_dtype, check_dims, entry_arrays
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {dims}")
+        object.__setattr__(self, "dims", check_dims(self.dims))
+        if self.n_cells >= 2**63:  # synthesize samples a flat int64 cell index
+            raise ValueError(f"dims must have fewer than 2**63 cells, got {self.dims}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 0 < self.density <= 1:

@@ -65,9 +65,7 @@ class SparseTensor:
         from). The tensor keeps private copies of the arrays, its
         coordinates in the narrowest integer type that the dims allow.
         """
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 3 or not all(0 < d < 2**63 for d in dims):
-            raise ValueError(f"dims must be three positive integers below 2**63, got {dims}")
+        dims = check_dims(dims)
         if _adopt is None:
             # Private copies: the tensor freezes its arrays and must not alias
             # caller-owned storage. One call, so list input is held only once.
@@ -163,6 +161,17 @@ class SparseTensor:
 
     def __repr__(self):
         return f"SparseTensor(dims={self._dims}, n_entries={self.n_entries})"
+
+
+def check_dims(dims):
+    """``dims`` as three ints, each a whole number in ``[1, 2**63)``: 3.0 is 3, 3.7 raises."""
+    try:
+        ints = tuple(map(int, dims))
+    except (TypeError, ValueError, OverflowError):  # not numbers, NaN, inf
+        ints = ()
+    if len(ints) != 3 or ints != tuple(dims) or not all(0 < d < 2**63 for d in ints):
+        raise ValueError(f"dims must be three positive integers below 2**63, got {dims}")
+    return ints
 
 
 def check_coords(mode, row, dim, error=ValueError, base=0):

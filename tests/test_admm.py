@@ -631,6 +631,17 @@ def test_train_patience_zero_runs_one_epoch():
     assert report.best_epoch == 1
 
 
+def test_patience_counts_progress_against_the_last_epoch_that_made_it(monkeypatch):
+    # 0.89 is below the progress mark 1.0 less min_delta, though not below the
+    # best-seen 0.95 less min_delta: epoch 3 resets the count, so the run ends at 5
+    maes = iter([1.0, 0.95, 0.89, 0.88, 0.87])
+    monkeypatch.setattr(lftk.admm, "mae", lambda model, tensor: next(maes))
+    tr, va, te = noise_free_case()
+    _, report = train(tr, va, TrainConfig(rank=2, max_epochs=10, patience=2, min_delta=0.1))
+    assert len(report.epochs) == 5
+    assert (report.best_epoch, report.best_val_mae) == (5, 0.87)
+
+
 def test_train_reports_skipped_entities_per_mode():
     # users 3-4, services 2-3 and times 2-3 have no training entries
     rows = [(i, j, k, 1.0 + i + j + k) for i in range(3) for j in range(2) for k in range(2)]

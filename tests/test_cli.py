@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import lftk.cli
-from lftk import FactorModel, SynthSpec, TrainConfig, build_tensor, load_records, mae
+from lftk import (FactorModel, RecordFormat, SynthSpec, TrainConfig, build_tensor, load_records,
+                  mae)
 from lftk._util import fmt_real, write_rows
 from lftk.cli import _write_json, build_parser, main
 
@@ -475,6 +476,17 @@ def test_dims_flag_beyond_int64_is_a_usage_error(tmp_path, capsys, dims):
     assert err == f"lftk: error: dimensions must be positive and below 2**63, got {dims!r}\n"
 
 
+def test_synth_dims_of_2_63_cells_or_more_are_a_usage_error(tmp_path, capsys):
+    # each dim fits int64, but synthesize samples a flat int64 index over 1e20 cells
+    out = tmp_path / "d"
+    code, _, err = run(["synth", "--dims", "10000000x10000000x1000000", "--rank", "1",
+                        "--density", "1e-19", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == ("lftk: error: dims must have fewer than 2**63 cells, "
+                   "got (10000000, 10000000, 1000000)\n")
+    assert not out.exists()
+
+
 def test_inferred_dims_widen_to_the_validation_file(tmp_path, capsys):
     # validation reaches user 3, one past the training file's inferred 3x3x2
     train_file, val_file = tmp_path / "train.txt", tmp_path / "val.txt"
@@ -494,6 +506,19 @@ def test_inferred_dims_widen_to_the_validation_file(tmp_path, capsys):
         outputs.append([(tmp_path / f"{tag}.model{suffix}").read_bytes()
                         for suffix in ("", ".log", ".report.json")])
     assert outputs[0] == outputs[1]
+
+
+def test_split_manifest_holds_the_ratios_format_and_dims(tmp_path, capsys):
+    records = tmp_path / "r.csv"
+    records.write_text("".join(f"{i},{j},{k},1\n"
+                               for i in (1, 2) for j in (1, 2) for k in (1, 2, 3)))
+    code, _, _ = run(["split", "--input", str(records), "--ratios", "1:1:2", "--format", "comma",
+                      "--index-base", "1", "--out", str(tmp_path / "s")], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert list(manifest["parameters"].items()) == [
+        ("ratios", [0.25, 0.25, 0.5]), ("format", "comma"), ("index_base", 1), ("dims", [2, 2, 3])
+    ]
 
 
 def test_split_keeps_an_index_far_past_the_others(tmp_path, capsys):
@@ -688,6 +713,8 @@ def test_predict_writes_coordinates_in_the_input_format(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text() == "1,1,1,2,1,1\n"
+    manifest = json.loads((tmp_path / "pred.txt.manifest.json").read_text())
+    assert list(manifest["parameters"].items()) == [("format", "comma"), ("index_base", 1)]
 
 
 @pytest.mark.parametrize("content,message", [
@@ -725,6 +752,10 @@ def test_eval_names_an_out_of_range_index_in_the_files_base(tmp_path, capsys, co
 @pytest.mark.parametrize("argv,cls", [
     (["train", "--train", "t", "--val", "v", "--model-out", "m"], TrainConfig),
     (["synth", "--dims", "2x2x2", "--rank", "1", "--density", "1", "--out", "o"], SynthSpec),
+    (["split", "--input", "i", "--ratios", "1:1:1", "--out", "o"], RecordFormat),
+    (["train", "--train", "t", "--val", "v", "--model-out", "m"], RecordFormat),
+    (["eval", "--model", "m", "--test", "t"], RecordFormat),
+    (["predict", "--model", "m", "--entries", "e", "--out", "o"], RecordFormat),
 ])
 def test_parsed_defaults_are_the_dataclass_defaults(argv, cls):
     args = build_parser().parse_args(argv)

@@ -141,6 +141,18 @@ def test_synthesize_validation():
                           **{field: value})
 
 
+def test_synth_dims_follow_the_tensor_rule():
+    # whole numbers only, as SparseTensor.from_arrays takes them: 3.7 is not truncated
+    for dims in ((3.7, 3, 3), (np.inf, 3, 3), (2**63, 1, 1), (3, 3)):
+        with pytest.raises(ValueError, match=r"^dims must be three positive integers below 2"):
+            SynthSpec(dims=dims, rank=1, density=1.0)
+    assert SynthSpec(dims=(3.0, np.int64(3), 3), rank=1, density=1.0).dims == (3, 3, 3)
+    # synthesize samples a flat int64 cell index, so I*J*K must stay below 2**63
+    with pytest.raises(ValueError, match=r"^dims must have fewer than 2\*\*63 cells"):
+        SynthSpec(dims=(2**21, 2**21, 2**21), rank=1, density=1e-18)
+    assert SynthSpec(dims=(2**21, 2**21, 2**21 - 1), rank=1, density=1e-18).n_observed == 9
+
+
 def test_synthesize_clamps_noise_at_zero():
     spec = SynthSpec(dims=(8, 8, 4), rank=1, density=1.0, noise_std=5.0, seed=1)
     obs, _, _ = synthesize(spec)

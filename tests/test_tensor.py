@@ -79,7 +79,8 @@ def test_cell_keys_are_equal_for_equal_cells_and_sort_in_ijk_order(cells):
     assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(idx[::-1]))
 
 
-@pytest.mark.parametrize("dims", [(2**70, 1, 1), (1, 2**63, 1), (0, 1, 1), (1, 1, -2)])
+@pytest.mark.parametrize("dims", [(2**70, 1, 1), (1, 2**63, 1), (0, 1, 1), (1, 1, -2),
+                                  (2.9, 2, 2), (1, math.inf, 1), (1, 1, math.nan)])
 def test_dims_outside_positive_int64_are_a_value_error(dims):
     with pytest.raises(ValueError, match=r"^dims must be three positive integers below 2\*\*63"):
         build_tensor(dims, [(0, 0, 0, 1.0)])
