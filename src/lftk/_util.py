@@ -145,14 +145,9 @@ def sha256_file(path):
 
 
 def parse_dims(text):
-    """Parse an "IxJxK" dimension triple, e.g. "20x20x8"."""
-    parts = str(text).lower().split("x")
-    if len(parts) != 3:
-        raise ValueError(f"expected dims as IxJxK, got {text!r}")
+    """The three ints of an "IxJxK" text, e.g. "20x20x8"; ``tensor.check_dims`` owns their range."""
     try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
+        i, j, k = map(int, str(text).lower().split("x"))
+    except ValueError:  # not three fields, or a field that is not an integer
         raise ValueError(f"expected dims as IxJxK, got {text!r}") from None
-    if not all(0 < d < 2**63 for d in dims):
-        raise ValueError(f"dimensions must be positive and below 2**63, got {text!r}")
-    return dims
+    return i, j, k

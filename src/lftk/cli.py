@@ -33,7 +33,7 @@ from .dataio import (
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
 from .model import LOSS_MODES, load_model, save_model
-from .tensor import SparseTensor, _cell_keys
+from .tensor import SparseTensor, _cell_keys, check_dims
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,7 +156,7 @@ def cmd_split(args):
 def cmd_train(args):
     config = _from_args(TrainConfig, args)
     fmt = _from_args(RecordFormat, args)
-    dims = parse_dims(args.dims) if args.dims else None
+    dims = check_dims(parse_dims(args.dims)) if args.dims else None
     tensor_train = load_records(args.train, fmt, dims)
     tensor_val = load_records(args.val, fmt, dims)
     for name, t in (("training", tensor_train), ("validation", tensor_val)):

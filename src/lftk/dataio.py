@@ -134,6 +134,11 @@ def _parse_block(first, block, fmt):
     return idx, rec["y"].copy()
 
 
+# blocks joined into one part as they arrive: 32 MiB of values, an array glibc maps apart
+# from its heap and unmaps when freed, so later blocks reuse the heap, not grow it
+_PART_BLOCKS = (32 << 20) // (8 * _PARSE_BLOCK)
+
+
 def load_records(source, fmt=RecordFormat(), dims=None):
     """Parse a record stream into a :class:`SparseTensor`.
 
@@ -150,15 +155,21 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     at a time. numpy parses a block; a block it does not accept (a comment
     line included) is parsed alone line by line, which gives the same
     records or the line-numbered error. Each block keeps its coordinates
-    in the narrowest type that holds them, and the blocks are joined once
-    at the end, values first, into the widest of those types.
+    in the narrowest type that holds them. Every 1,024 blocks (4M lines, up
+    to 32 MiB of values) are joined into one part as they arrive, and the parts
+    and the last blocks once at the end, values first, into the widest type.
     """
+    parts = []
     with _text_stream(source) as fh:  # a helper per block: only its arrays outlive it
-        parts = [_parse_block(first, block, fmt) for first, block in _blocks(fh)]
+        for n, (first, block) in enumerate(_blocks(fh), 1):
+            parts.append(_parse_block(first, block, fmt))
+            if n % _PART_BLOCKS == 0:  # the last _PART_BLOCKS blocks become one part
+                parts[-_PART_BLOCKS:] = [tuple(np.concatenate(a, axis=-1)
+                                               for a in zip(*parts[-_PART_BLOCKS:]))]
     parts.append((np.empty((3, 0), np.int16), np.empty(0)))  # a source of no record joins too
     y = np.concatenate([y for _, y in parts])
     idx = [idx for idx, _ in parts]
-    del parts  # the blocks' values go here, their coordinates once joined
+    del parts  # the parts' values go here, their coordinates once joined
     idx = np.concatenate(idx, axis=1)
     if dims is None:
         if not y.size:
@@ -223,47 +234,39 @@ def _sample_cells(rng, n_cells, n):
     # np.sort(rng.choice(n_cells, size=n, replace=False)), leaving rng where that
     # call leaves it, but without the arange(n_cells) that choice fills.
     floyd = n_cells <= 10000 or n <= n_cells // 50  # choice's memory is O(n) here already
-    dense = 16 * n > n_cells  # from here on the replay below is no faster than choice
-    if floyd or dense:
+    dense = 16 * n > n_cells  # the replay's searches slow as density grows: 15x at 73.5%
+    b = (n - 1).bit_length()  # a key is target << b | step, which must fit in int64
+    if floyd or dense or (n_cells - 1).bit_length() + b > 63:
         flat = rng.choice(n_cells, size=n, replace=False)
         flat.sort()
         return flat
-    # choice fills arange(n_cells), then step s = 0, ..., n-1 swaps slot i = top - s
-    # with a target slot drawn from [0, i], and it keeps the n tail slots (first and
-    # up). The targets are these draws, made a block at a time:
-    top, first = n_cells - 1, n_cells - n
-    t = np.empty(n, np.int64)
+    # choice fills arange(n_cells), then step s = 0, ..., n-1 swaps slot top - s with a
+    # target drawn from [0, top - s] and keeps slots top - n + 1 to top: a step outputs
+    # what its target holds and moves in what slot top - s holds. The targets are drawn
+    # a block at a time, and their sorted keys put each slot's takers in step order.
+    top, low = n_cells - 1, (1 << b) - 1
+    key = np.empty(n, np.int64)
     for s in range(0, n, _DRAW_BLOCK):
         e = min(s + _DRAW_BLOCK, n)
-        t[s:e] = rng.integers(0, np.arange(top - s, top - e, -1), endpoint=True)
-    # A step outputs what its target slot holds. A head slot (below first) holds its
-    # own index until a step takes it, so a step whose head target no other step
-    # takes outputs its target, as t already says: nearly every step at this density.
-    # Head targets taken again are marked in a bitmap of n_cells bits.
-    again = np.sort(t)
-    again = again[1:][again[1:] == again[:-1]]
-    again = again[again < first]
-    bits = np.zeros(n_cells // 8 + 1, np.uint8)
-    np.bitwise_or.at(bits, again >> 3, (1 << (again & 7)).astype(np.uint8))
-    hits = np.flatnonzero(bits[t >> 3] >> (t & 7).astype(np.uint8) & 1)
-    # Steps with a tail target read and write tail slots only: replayed in order in a
-    # dict of the tail slots they displaced.
-    tail = np.flatnonzero(t >= first)
-    moved = {}
-    get, pop = moved.get, moved.pop
-    out = t[tail].tolist()
-    for k, i in enumerate((top - tail).tolist()):
-        j = out[k]
-        out[k] = get(j, j)
-        moved[j] = pop(i, i)  # slot i is final once its step is made
-    t[tail] = out
-    # A head target taken again holds what its previous taker's slot held then, and
-    # only tail-target steps, all now replayed, had written to that slot.
-    hits = hits[np.argsort(t[hits], kind="stable")]  # by target, then by step
-    repeat = t[hits[1:]] == t[hits[:-1]]
-    t[hits[1:][repeat]] = [get(i, i) for i in (top - hits[:-1][repeat]).tolist()]
-    t.sort()
-    return t
+        key[s:e] = rng.integers(0, np.arange(top - s, top - e, -1), endpoint=True) << b
+        key[s:e] |= np.arange(s, e)
+    key.sort()
+    # A slot's first taker outputs the slot; a later one, what the taker p before it
+    # moved in: slot top - p, or, if a step took that slot before p, what the last such
+    # step moved in, followed the same way. Its key is the last below (top - p) << b | p.
+    later = np.flatnonzero((key[1:] ^ key[:-1]) <= low) + 1
+    out, todo, p = np.empty(later.size, np.int64), np.arange(later.size), key[later - 1] & low
+    while todo.size:
+        slot = top - p
+        q = slot << b | p
+        link = key[np.searchsorted(key, q) - 1]
+        taken = (link >= q - p) & (link < q)  # link's target is slot top - p
+        out[todo[~taken]] = slot[~taken]
+        todo, p = todo[taken], link[taken] & low
+    key >>= b
+    key[later] = out
+    key.sort()
+    return key
 
 
 def synthesize(spec):

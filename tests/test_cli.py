@@ -468,12 +468,17 @@ def test_undecodable_record_file_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("dims", ["100000000000000000000x2x2", "2x9223372036854775808x2"])
 def test_dims_flag_beyond_int64_is_a_usage_error(tmp_path, capsys, dims):
+    # the library's dims rule and message (tensor.check_dims), for train and synth alike
     small = tmp_path / "small.txt"
     small.write_text("0 0 0 1\n")
-    code, _, err = run(["train", "--train", str(small), "--val", str(small), "--dims", dims,
-                        "--model-out", str(tmp_path / "m")], capsys)
-    assert code == 1
-    assert err == f"lftk: error: dimensions must be positive and below 2**63, got {dims!r}\n"
+    got = dims.replace("x", ", ")
+    want = f"lftk: error: dims must be three positive integers below 2**63, got ({got})\n"
+    for argv in (["train", "--train", str(small), "--val", str(small), "--model-out",
+                  str(tmp_path / "m")],
+                 ["synth", "--rank", "1", "--density", "0.5", "--out", str(tmp_path / "d")]):
+        code, _, err = run([*argv, "--dims", dims], capsys)
+        assert code == 1
+        assert err == want
 
 
 def test_synth_dims_of_2_63_cells_or_more_are_a_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -430,6 +431,31 @@ def test_blocks_of_a_stream_build_its_tensor_without_the_line_parser(tmp_path, m
         assert _outcome(_load_line_by_line, fh) == _outcome(load_records, make(tmp_path))
 
 
+def test_blocks_are_joined_into_parts_as_they_arrive():
+    # blocks of 2 records, joined three at a time as they arrive, so no more than
+    # three blocks' values live at once; the tensor is the one a single join builds,
+    # the int16 parts widened to the int32 coordinates of the last block
+    text = "".join(f"{i % 7} {i % 5} {i} {i / 4}\n" for i in range(20)) + "1 40000 0 1\n"
+    with mock.patch.object(dataio, "_PARSE_BLOCK", 2):
+        want = load_records(io.StringIO(text))
+    values, live, parse = [], [], dataio._parse_block
+
+    def spy(*args):  # how many blocks' values live once each block is parsed
+        idx, y = parse(*args)
+        values.append(weakref.ref(y))
+        live.append(sum(ref() is not None for ref in values))
+        return idx, y
+
+    with mock.patch.object(dataio, "_PARSE_BLOCK", 2), \
+            mock.patch.object(dataio, "_PART_BLOCKS", 3), \
+            mock.patch.object(dataio, "_parse_block", side_effect=spy):
+        got = load_records(io.StringIO(text))
+    assert live == [1, 2, 3] * 3 + [1, 2]
+    assert got.dims == want.dims == (7, 40001, 20) and got.idx.dtype == np.int32
+    np.testing.assert_array_equal(got.idx, want.idx)
+    assert got.y.tobytes() == want.y.tobytes()
+
+
 @pytest.mark.parametrize("newline", ["\r", "\n"])
 def test_a_stream_that_keeps_its_line_endings_loads_every_record(newline):
     # newline="" ends a line at a lone "\r" as at "\n", and leaves the ending on the line
@@ -700,6 +726,8 @@ def _sample_sizes(draw):
 @given(sizes=_sample_sizes(), seed=st.integers(0, 2**63), predraws=st.integers(0, 3))
 @example(sizes=(_WSDREAM_5.n_cells, _WSDREAM_5.n_observed), seed=1, predraws=0)
 @example(sizes=(_WSDREAM_5.n_cells, _WSDREAM_5.n_observed), seed=9001, predraws=0)
+@example(sizes=(4_000_000, 250_000), seed=0, predraws=0)
+@example(sizes=(1_000_000, 20_001), seed=0, predraws=1)
 @settings(max_examples=300, deadline=None)
 def test_sample_cells_draws_what_choice_draws(sizes, seed, predraws):
     # the same cells and the same generator state after, so synthesized data stay
@@ -713,6 +741,15 @@ def test_sample_cells_draws_what_choice_draws(sizes, seed, predraws):
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sample_cells_leaves_keys_past_int64_to_choice():
+    # 2**62 cells, 2**57 drawn: past Floyd's range and below the dense one, but a key
+    # target << 57 | step would take 119 bits, so choice draws them
+    rng = mock.Mock()
+    rng.choice.return_value = np.array([5, 3, 4])
+    assert dataio._sample_cells(rng, 2**62, 2**57).tolist() == [3, 4, 5]
+    rng.choice.assert_called_once_with(2**62, size=2**57, replace=False)
 
 
 def test_a_stream_that_cannot_seek_is_read_once_by_either_parser():
