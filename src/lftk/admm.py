@@ -44,7 +44,6 @@ import numpy as np
 from ._util import _open_sink
 from .errors import DivergenceError
 from .evaluation import Epoch, EvalReport, mae
-from .model import LOSS_MODES  # noqa: F401  (importable as lftk.admm.LOSS_MODES)
 from .model import FactorModel, _predict, block_views, check_loss, mode_rows, objective
 from .tensor import MODES
 
@@ -313,9 +312,10 @@ def train_epoch(state, model, tensor, config):
     Order: all auxiliary user-factor columns, then service, then time
     (each column over all entities at once); then the three auxiliary bias
     columns; then the nonnegativity projection; then dual ascent. Returns
-    the training objective of the projected model and the largest
-    aux-primal gap. Raises :class:`DivergenceError` naming the variable
-    group that first produced a non-finite or runaway value.
+    the training objective of the projected model, under the state's
+    loss and gamma as in the sweeps, and the largest aux-primal gap
+    (``config`` supplies only ``eta``). Raises :class:`DivergenceError`
+    naming the group that first produced a non-finite or runaway value.
     """
     yhat, rank, prev, size = state.aux_prediction(tensor), model.rank, None, _SWEEP_CHUNK
     coef, buf = np.empty_like(yhat), np.empty(min(size, yhat.size))
@@ -339,7 +339,7 @@ def train_epoch(state, model, tensor, config):
     update_multipliers(state, model, config.eta)
     names = (f"multipliers for {mode} {part}" for part in ("factors", "biases") for mode in MODES)
     _check_blocks(state.mult_params, state.mult, names)
-    obj = objective(model, tensor, loss=config.loss, gamma=config.gamma)
+    obj = objective(model, tensor, loss=state.loss, gamma=state.gamma)
     return obj, state.max_primal_residual(model)
 
 

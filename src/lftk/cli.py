@@ -33,7 +33,7 @@ from .dataio import (
 from .errors import DataFormatError
 from .evaluation import SplitSpec, mae, split
 from .model import LOSS_MODES, load_model, save_model
-from .tensor import SparseTensor, _cell_keys, check_dims
+from .tensor import SparseTensor, _cell_keys, check_dims, repeated_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,14 +169,11 @@ def cmd_train(args):
         tensor_train, tensor_val = (SparseTensor(dims, t.idx, t.y, _validated=True)
                                     for t in (tensor_train, tensor_val))
     # a validation cell that is also trained on would flatter the validation MAE;
-    # neither tensor holds a duplicate, so each one's keys are unique
-    val_keys = _cell_keys(dims, tensor_val.idx)
-    shared = np.intersect1d(_cell_keys(dims, tensor_train.idx), val_keys, assume_unique=True)
-    if shared.size:  # sorted as the cells are: the (i, j, k)-first, named as filed
-        pos = np.flatnonzero(val_keys == shared[0])[0]
-        cell = tuple(v + fmt.index_base for v in tensor_val.idx[:, pos].tolist())
+    # neither tensor holds a cell twice, so a repeat of the two joined is a shared cell
+    cell = repeated_cell(dims, np.concatenate((tensor_train.idx, tensor_val.idx), axis=1),
+                         fmt.index_base)
+    if cell is not None:
         raise DataFormatError(f"validation file shares the cell {cell} with the training file")
-    del val_keys, shared
 
     log_path = args.log_out or str(args.model_out) + ".log"
     report_path = args.report_out or str(args.model_out) + ".report.json"

@@ -85,7 +85,8 @@ class SparseTensor:
                 raise ValueError("entry values must be finite")
             if y.min() < 0:
                 raise ValueError(f"entry values must be nonnegative, got {y.min()}")
-        _check_duplicates(dims, idx, _base)  # load_records: named in its file's index base
+        if (cell := repeated_cell(dims, idx, _base)) is not None:  # in the file's index base
+            raise ValueError(f"duplicate entry at {cell}")
         return cls(dims, idx, y, _validated=True)
 
     @property
@@ -210,15 +211,16 @@ def _cell_keys(dims, idx):
     return np.ascontiguousarray(idx.T, dtype=">i8").view("V24")[:, 0]
 
 
-def _check_duplicates(dims, idx, base):
-    # Sorted in place: stable sorting is linear on the ordered files lftk writes. Only
-    # a duplicate makes the keys anew, to name the smallest duplicated cell, plus base.
+def repeated_cell(dims, idx, base):
+    """The (i, j, k)-first cell that the (3, n) block holds twice, plus ``base``, or None."""
+    # Sorted in place: stable sorting is linear on the ordered files lftk writes, and
+    # merges two of them joined. Only a repeat makes the keys anew, to find it.
     keys = _cell_keys(dims, idx)
     keys.sort(kind="stable")
     dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
         pos = np.flatnonzero(_cell_keys(dims, idx) == keys[dup[0]])[0]
-        raise ValueError(f"duplicate entry at {tuple(v + base for v in idx[:, pos].tolist())}")
+        return tuple(v + base for v in idx[:, pos].tolist())
 
 
 def build_tensor(dims, entries):

@@ -393,6 +393,16 @@ def test_epoch_objective_finite_and_nonnegative():
         assert math.isfinite(gap) and gap >= 0.0
 
 
+def test_epoch_objective_takes_the_states_loss_and_gamma_not_the_configs():
+    # the sweeps weigh residuals by the state's loss and gamma; config supplies only eta
+    obs, _, _ = synthesize(SynthSpec(dims=(6, 5, 4), rank=2, density=0.5, seed=3))
+    model = FactorModel.initialize(obs.dims, 2, seed=1)
+    state, _ = make_state(model, obs, loss="cauchy", gamma=1.0)
+    obj, _ = train_epoch(state, model, obs, TrainConfig(rank=2, loss="l2", gamma=3.0, lam=5.0))
+    assert obj == objective(model, obs, loss="cauchy", gamma=1.0)
+    assert obj != objective(model, obs, loss="l2", gamma=3.0)
+
+
 def test_epoch_order_u_s_t_then_biases():
     # first sweep of a single-entry problem: the u-update sees s=t=aux copies,
     # so composing the scalar ops in the documented order must equal train_epoch

@@ -581,6 +581,22 @@ def test_train_rejects_a_validation_cell_that_is_also_trained_on(tmp_path, capsy
     assert not model.exists() and not (tmp_path / "m.model.log").exists()
 
 
+def test_train_names_a_shared_cell_where_the_raveled_index_would_wrap(tmp_path, capsys):
+    # 3e9 x 3e9 x 2 cells: keys are 24-byte records, and the (i, j, k)-first shared
+    # cell is named, not the first one either file holds
+    train, val = tmp_path / "train.txt", tmp_path / "val.txt"
+    train.write_text("2999999999 5 1 1\n0 0 0 2\n7 7 1 1\n")
+    val.write_text("7 7 1 3\n2999999999 5 1 4\n1 1 1 1\n")
+    model = tmp_path / "m.model"
+    code, stdout, err = run(["train", "--train", str(train), "--val", str(val),
+                             "--dims", "3000000000x3000000000x2", "--rank", "1",
+                             "--max-epochs", "1", "--model-out", str(model)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("lftk: input error: validation file shares the cell (7, 7, 1) "
+                   "with the training file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt", "val.txt"]
+
+
 @pytest.mark.parametrize("header", ["", "# a comment line sends the file through the line parser\n"])
 @pytest.mark.parametrize("base", [0, 1])
 def test_a_duplicate_is_named_as_the_file_writes_it(tmp_path, capsys, base, header):

@@ -369,7 +369,7 @@ def _bulk_only():
 
 
 @given(case=_record_files(), as_bytes=st.booleans())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, print_blob=True)
 def test_bulk_parse_builds_the_line_parsers_tensor_bit_for_bit(case, as_bytes):
     fmt, text = case
 
