@@ -28,12 +28,13 @@ Within one phase (one column of one mode), rows of the same mode touch
 disjoint entry sets, so updating them in ascending index order is
 identical to updating them simultaneously; the sweeps below exploit this
 with vectorized per-phase updates. Each sweep walks the epoch's chunk plan,
-views of cache-sized chunks and buffers built once per epoch, with one intp
-copy of each chunk's coordinates; ``np.bincount`` (first chunk) and
-``np.add.at`` (the rest, both sums at once as the real and imaginary parts of
-one complex add) sum each entity's terms in entry order, exactly as one
-``np.bincount`` over all entries would, so results do not depend on the
-chunk size. This single deterministic partition is recorded in the report.
+views of cache-sized chunks and buffers built once per epoch; the first
+chunk's coordinates are made intp once per epoch, each later chunk's once
+per sweep. ``np.bincount`` (first chunk) and ``np.add.at`` (the rest, both
+sums at once as the real and imaginary parts of one complex add) sum each
+entity's terms in entry order, exactly as one ``np.bincount`` over all
+entries would, so results do not depend on the chunk size. This single
+deterministic partition is recorded in the report.
 """
 
 import math
@@ -53,6 +54,8 @@ DIVERGENCE_LIMIT = 1e12
 
 # entries per chunk of a column sweep: its work buffers stay in cache
 _SWEEP_CHUNK = 1 << 13
+
+_OTHERS = ((1, 2), (0, 2), (0, 1))  # the two modes beside each one
 
 
 @dataclass
@@ -225,10 +228,12 @@ def project_nonnegative(state, model):
     Entities with zero constants are left untouched; afterwards every model
     element is >= 0. Returns the model (mutated in place).
     """
-    # 0/0 arises only on masked rows, where const and mult are both 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.copyto(model.params, np.maximum(0.0, state.aux_params + state.mult_params
-                                           / state.const[:, None]), where=state.where)
+    # written in place, a step at a time; masked rows (const and mult both 0) are never
+    # divided, so no 0/0 arises
+    out, where = model.params, state.where
+    np.divide(state.mult_params, state.const[:, None], out=out, where=where)
+    np.add(state.aux_params, out, out=out, where=where)
+    np.maximum(0.0, out, out=out, where=where)
     return model
 
 
@@ -244,52 +249,57 @@ def update_multipliers(state, model, eta):
 def _sweep_column(state, axis, col, fixed, plan, prev):
     # One auxiliary column for every entity of the mode at once, chunk by chunk
     # through the epoch's plan. A chunk's coordinates are made intp once for all its
-    # gathers (take) and sums, which would each convert the int16 ones again; it
-    # first takes the yhat update of `prev`, the last column's (step, axis, factor),
-    # with the coefficients `coef` still holds. `fixed` is the mode's
-    # (const * primal - multiplier, const, where mask), set for the epoch.
-    pull, const, where = fixed
+    # gathers (take) and sums, which would each convert the int16 ones again; the
+    # plan's first chunk comes converted for the whole epoch. A chunk first takes the
+    # yhat update of `prev`, the last column's (step, axis, factor), with the
+    # coefficients `coef` still holds. `fixed` is the mode's
+    # (const * primal - multiplier, const, mask), set for the epoch; the mask is the
+    # ufuncs' `where` keyword, or no keyword at all when every entity has entries.
+    pull, const, mask = fixed
     step, moved, scaled = prev or (None, None, False)
     old = state.aux[axis][:, col]
-    factor, gamma2, sums = col < state.rank, state.gamma * state.gamma, None
+    factor, cauchy, gamma2 = col < state.rank, state.loss != "l2", state.gamma * state.gamma
     if factor:  # the other two modes' values of this column, per entry
-        p, q = (m for m in range(3) if m != axis)
+        p, q = _OTHERS[axis]
         cp, cq = state.aux[p][:, col], state.aux[q][:, col]
-    if not plan:  # nothing to sum (np.bincount would return int zeros)
-        num, den = np.zeros(len(old)), np.zeros(len(old))
-    for n, (y, yhat, coef, idx, wc) in enumerate(plan):
+    num = sums = None
+    for y, yhat, coef, idx, wc in plan:
         idx = idx.astype(np.intp, copy=False)
         own = idx[axis]
         if step is not None:
             yhat += step.take(idx[moved]) * coef if scaled else step.take(idx[moved])
-        if state.loss == "l2":
-            wc.fill(1.0)
-        else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
+        if cauchy:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
             np.square(np.subtract(y, yhat, out=wc), out=wc)
             np.divide(1.0, np.add(wc, gamma2, out=wc), out=wc)
+        else:
+            wc.fill(1.0)
         term = old.take(own)
         if factor:  # a bias column's coefficient is 1: nothing to multiply
             c = np.multiply(cp.take(idx[p]), cq.take(idx[q]), out=coef)
             wc *= c
             term *= c
         term = np.subtract(y, np.subtract(yhat, term, out=term), out=term)
-        parts = (np.multiply(wc, term, out=term), np.multiply(wc, c, out=wc) if factor else wc)
-        if not n:  # from zero, bincount adds in entry order exactly as np.add.at does
-            num, den = (np.bincount(own, part, len(old)) for part in parts)
+        np.multiply(wc, term, out=term)
+        if factor:
+            np.multiply(wc, c, out=wc)
+        if num is None:  # from zero, bincount adds in entry order exactly as np.add.at does
+            num, den = np.bincount(own, term, len(old)), np.bincount(own, wc, len(old))
             continue
         if sums is None:  # complex adds sum real and imaginary parts apart: num + den*1j
             sums, z = np.empty(len(old), complex), np.empty(wc.size, complex)
             sums.real, sums.imag = num, den
             num, den = sums.real, sums.imag
         zc = z[: wc.size]  # chunks after the second are no longer
-        zc.real, zc.imag = parts
+        zc.real, zc.imag = term, wc
         np.add.at(sums, own, zc)
+    if num is None:  # nothing to sum (np.bincount would return int zeros)
+        num, den = np.zeros(len(old)), np.zeros(len(old))
     num += pull[:, col]
     den += const
-    np.divide(num, den, out=num, where=where)
+    np.divide(num, den, out=num, **mask)
     # den is exactly 0 for an entity without entries, so its step stays 0
-    np.subtract(num, old, out=den, where=where)
-    np.copyto(old, num, where=where)
+    np.subtract(num, old, out=den, **mask)
+    np.copyto(old, num, **mask)
     return den, axis, factor
 
 
@@ -317,15 +327,21 @@ def train_epoch(state, model, tensor, config):
     (``config`` supplies only ``eta``). Raises :class:`DivergenceError`
     naming the group that first produced a non-finite or runaway value.
     """
-    yhat, rank, prev, size = state.aux_prediction(tensor), model.rank, None, _SWEEP_CHUNK
+    rank, prev, size, idx = model.rank, None, _SWEEP_CHUNK, tensor.idx
+    # the first chunk's coordinates, made intp once for the aux prediction and every
+    # sweep; a tensor of one chunk then converts none again this epoch
+    head = idx[:, :size].astype(np.intp)
+    yhat = _predict(state.aux, *(head if idx.shape[1] <= size else idx))
     coef, buf = np.empty_like(yhat), np.empty(min(size, yhat.size))
     # the epoch's chunk plan: each chunk's y, yhat, coef, coordinates and weight buffer
     at = [slice(lo, lo + size) for lo in range(0, yhat.size, size)]
-    plan = [(tensor.y[c], yhat[c], coef[c], tensor.idx[:, c], buf[: yhat[c].size]) for c in at]
+    plan = [(tensor.y[c], yhat[c], coef[c], idx[:, c] if c.start else head, buf[: yhat[c].size])
+            for c in at]
     # the sweeps move only the auxiliaries, so each mode's pull is fixed
     pull = state.const[:, None] * model.params - state.mult_params
-    wheres = (True,) * 3 if state.where is True else mode_rows(state.active, state.dims)
-    fixed = list(zip(mode_rows(pull, state.dims), mode_rows(state.const, state.dims), wheres))
+    masks = ([{}] * 3 if state.where is True
+             else [{"where": active} for active in mode_rows(state.active, state.dims)])
+    fixed = list(zip(mode_rows(pull, state.dims), mode_rows(state.const, state.dims), masks))
     for axis, mode in enumerate(MODES):
         for col in range(rank):
             prev = _sweep_column(state, axis, col, fixed[axis], plan, prev)
@@ -333,7 +349,7 @@ def train_epoch(state, model, tensor, config):
     for axis, mode in enumerate(MODES):
         prev = _sweep_column(state, axis, rank, fixed[axis], plan, prev)
         _check_group(f"auxiliary {mode} biases", state.aux[axis][:, rank])
-    del yhat, coef, buf, plan, prev  # freed before the objective allocates its own
+    del yhat, coef, buf, plan, prev, head  # freed before the objective allocates its own
     project_nonnegative(state, model)
     _check_blocks(model.params, model.blocks, (f"projected {name}" for name in "USTabc"))
     update_multipliers(state, model, config.eta)

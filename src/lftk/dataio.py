@@ -234,7 +234,7 @@ def _sample_cells(rng, n_cells, n):
     # np.sort(rng.choice(n_cells, size=n, replace=False)), leaving rng where that
     # call leaves it, but without the arange(n_cells) that choice fills.
     floyd = n_cells <= 10000 or n <= n_cells // 50  # choice's memory is O(n) here already
-    dense = 16 * n > n_cells  # the replay's searches slow as density grows: 15x at 73.5%
+    dense = 8 * n > n_cells  # the replay's searches slow with density: past 1/8, choice is faster
     b = (n - 1).bit_length()  # a key is target << b | step, which must fit in int64
     if floyd or dense or (n_cells - 1).bit_length() + b > 63:
         flat = rng.choice(n_cells, size=n, replace=False)

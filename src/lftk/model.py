@@ -128,23 +128,33 @@ class FactorModel:
 
 
 def _predict(blocks, ii, jj, kk):
-    # The one prediction kernel, over (dim, R+1) blocks: chunk by chunk, it
-    # copies each entry's three rows (take along axis 0, far faster than 2-D
-    # fancy indexing), multiplies whole rows, and sums U0*S0*T0, then each later
-    # column's product in turn, then a, b and c: ((cp + a) + b) + c, whatever
-    # the chunk. The biases' product is unused, so its overflow is ignored.
-    out, rank = np.empty(ii.size), blocks[0].shape[1] - 1
+    # The one prediction kernel, over (dim, R+1) blocks. Up to _CHUNK entries
+    # go through _predict_chunk whole, with no views made; more are cut into
+    # _CHUNK-entry views, each through the same calls.
+    out = np.empty(ii.size)
     with np.errstate(over="ignore"):
-        for lo in range(0, ii.size, _CHUNK):
-            u, s, t = (b.take(x[lo : lo + _CHUNK], axis=0) for b, x in zip(blocks, (ii, jj, kk)))
-            acc, prod = out[lo : lo + _CHUNK], u * s
-            prod *= t
-            np.copyto(acc, prod[:, 0])
-            for r in range(1, rank):
-                acc += prod[:, r]
-            for blk in (u, s, t):
-                acc += blk[:, rank]
+        if ii.size <= _CHUNK:
+            _predict_chunk(blocks, ii, jj, kk, out)
+        else:
+            for lo in range(0, ii.size, _CHUNK):
+                c = slice(lo, lo + _CHUNK)
+                _predict_chunk(blocks, ii[c], jj[c], kk[c], out[c])
     return out
+
+
+def _predict_chunk(blocks, ii, jj, kk, out):
+    # Copies each entry's three rows (take along axis 0, far faster than 2-D
+    # fancy indexing), multiplies whole rows and sums U0*S0*T0, then each later
+    # column's product in turn, then a, b and c into `out`: ((cp + a) + b) + c,
+    # whatever the chunk. The biases' product is unused; the caller ignores its
+    # overflow.
+    u, s, t = blocks[0].take(ii, axis=0), blocks[1].take(jj, axis=0), blocks[2].take(kk, axis=0)
+    rank, prod = u.shape[1] - 1, u * s
+    prod *= t
+    terms = iter([prod[:, r] for r in range(rank)] + [u[:, rank], s[:, rank], t[:, rank]])
+    np.add(next(terms), next(terms), out=out)
+    for term in terms:
+        out += term
 
 
 def check_loss(loss, gamma):
@@ -166,12 +176,14 @@ def loss_sum(e, loss, gamma):
     check_loss(loss, gamma)
     e = np.asarray(e, dtype=np.float64)
     if loss == "cauchy":
-        # r = e/gamma: r^2 overflows past 1.3e154, and past 1e150 ln(1 + r^2) is 2 ln r
-        big = np.abs(e) > 1e150 * gamma
-        some = big.any()  # rare; only then are they masked out here and set below
-        t = np.divide(np.where(big, 0.0, e) if some else e, gamma)
+        # r = e/gamma: r^2 overflows past 1.3e154, and past 1e150 ln(1 + r^2) is 2 ln r.
+        # Such residuals are rare: e's max and min (which a NaN fails too) say whether
+        # any can be there before a mask over every entry is built
+        lim = 1e150 * gamma
+        big = None if not e.size or e.max() <= lim and e.min() >= -lim else np.abs(e) > lim
+        t = np.divide(e if big is None else np.where(big, 0.0, e), gamma)
         np.log1p(np.square(t, out=t), out=t)
-        if some:
+        if big is not None:  # masked out above, set here
             t[big] = 2 * (np.log(np.abs(e[big])) - np.log(gamma))
         return float(t.sum())
     return float((e * e).sum())

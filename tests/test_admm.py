@@ -810,6 +810,31 @@ def test_training_does_not_depend_on_chunk_size(seed, loss, rank):
         assert run(chunk) == first
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "one-entry-more"])
+def test_a_fit_at_the_edge_of_one_sweep_chunk_matches_three_entry_chunks(extra):
+    # a fit of exactly _SWEEP_CHUNK entries sums in one chunk, from the coordinates
+    # made intp once per epoch; one entry more adds a one-entry second chunk
+    n = lftk.admm._SWEEP_CHUNK + extra
+    rng = np.random.default_rng(n)
+    dims = (40, 30, 20)
+    ii, jj, kk = np.unravel_index(np.sort(rng.permutation(math.prod(dims))[:n]), dims)
+    y = rng.uniform(0, 5, n) * np.where(rng.random(n) < 0.05, 10.0, 1.0)
+    t = SparseTensor.from_arrays(dims, ii, jj, kk, y)
+    config = TrainConfig(rank=1, max_epochs=2, patience=2, seed=3)
+
+    def run(chunk):
+        log, model_text = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lftk.admm, "_SWEEP_CHUNK", chunk)
+            mp.setattr(lftk.model, "_CHUNK", chunk)
+            model, report = train(t, t, config, log=log)
+        save_model(model, model_text)
+        return model_text.getvalue(), json.dumps(report.summary()), log.getvalue()
+
+    assert t.n_entries == n and t.idx.dtype == np.int16
+    assert run(lftk.admm._SWEEP_CHUNK) == run(3)
+
+
 def test_a_sweep_chunk_patched_between_epochs_takes_effect(monkeypatch):
     # each epoch builds its chunk plan from the _SWEEP_CHUNK of the moment
     obs, _, _ = synthesize(SynthSpec(dims=(6, 5, 4), rank=2, density=0.8, seed=2))

@@ -428,7 +428,9 @@ def test_blocks_of_a_stream_build_its_tensor_without_the_line_parser(tmp_path, m
     assert t.entries() == _BLOCK_EDGE_ENTRIES
     assert t.idx.flags.c_contiguous and t.dims == (3, 2, 3)
     with make(tmp_path) as fh:
-        assert _outcome(_load_line_by_line, fh) == _outcome(load_records, make(tmp_path))
+        want = _outcome(_load_line_by_line, fh)
+    with make(tmp_path) as fh:
+        assert _outcome(load_records, fh) == want
 
 
 def test_blocks_are_joined_into_parts_as_they_arrive():
@@ -715,11 +717,11 @@ _WSDREAM_5 = SynthSpec(dims=(142, 4532, 64), rank=5, density=0.05)
 def _sample_sizes(draw):
     # (n_cells, n) on both sides of choice's regimes: Floyd's sampler up to
     # n_cells // 50 cells or 10,000 in all, a tail shuffle above, which
-    # _sample_cells replays up to n_cells // 16 cells
+    # _sample_cells replays up to n_cells // 8 cells
     n_cells = draw(st.sampled_from([10_000, 10_001]) | st.integers(1, 40_000))
-    edges = [0, 1, n_cells // 50, n_cells // 50 + 1, n_cells // 16 - 1, n_cells // 16,
-             n_cells // 16 + 1, n_cells]
-    n = draw(st.sampled_from(edges) | st.integers(n_cells // 50, n_cells // 16 + 1))
+    edges = [0, 1, n_cells // 50, n_cells // 50 + 1, n_cells // 8 - 1, n_cells // 8,
+             n_cells // 8 + 1, n_cells]
+    n = draw(st.sampled_from(edges) | st.integers(n_cells // 50, n_cells // 8 + 1))
     return n_cells, min(max(n, 0), n_cells)
 
 
