@@ -55,8 +55,6 @@ DIVERGENCE_LIMIT = 1e12
 # entries per chunk of a column sweep: its work buffers stay in cache
 _SWEEP_CHUNK = 1 << 13
 
-_OTHERS = ((1, 2), (0, 2), (0, 1))  # the two modes beside each one
-
 
 @dataclass
 class TrainConfig:
@@ -156,8 +154,12 @@ class AdmmState:
         (self.phi, self.rho, self.psi,
          self.chi, self.vphi, self.sigma) = block_views(self.mult)
         self.active = self.const > 0
-        # the ufunc `where` mask: plain True, far cheaper for numpy, when all are active
-        self.where = True if self.active.all() else self.active[:, None]
+        # the ufuncs' `where` keyword over the stacked rows and over each mode's: none
+        # at all when every entity is active, as even where=True costs numpy a mask
+        masked = not self.active.all()
+        self.where = {"where": self.active[:, None]} if masked else {}
+        self.mode_where = [{"where": rows} if masked else {}
+                           for rows in mode_rows(self.active, self.dims)]
 
     @classmethod
     def initialize(cls, model, tensor, config):
@@ -230,10 +232,10 @@ def project_nonnegative(state, model):
     """
     # written in place, a step at a time; masked rows (const and mult both 0) are never
     # divided, so no 0/0 arises
-    out, where = model.params, state.where
-    np.divide(state.mult_params, state.const[:, None], out=out, where=where)
-    np.add(state.aux_params, out, out=out, where=where)
-    np.maximum(0.0, out, out=out, where=where)
+    out = model.params
+    np.divide(state.mult_params, state.const[:, None], out=out, **state.where)
+    np.add(state.aux_params, out, out=out, **state.where)
+    np.maximum(0.0, out, out=out, **state.where)
     return model
 
 
@@ -249,40 +251,41 @@ def update_multipliers(state, model, eta):
 def _sweep_column(state, axis, col, fixed, plan, prev):
     # One auxiliary column for every entity of the mode at once, chunk by chunk
     # through the epoch's plan. A chunk's coordinates are made intp once for all its
-    # gathers (take) and sums, which would each convert the int16 ones again; the
-    # plan's first chunk comes converted for the whole epoch. A chunk first takes the
-    # yhat update of `prev`, the last column's (step, axis, factor), with the
-    # coefficients `coef` still holds. `fixed` is the mode's
-    # (const * primal - multiplier, const, mask), set for the epoch; the mask is the
-    # ufuncs' `where` keyword, or no keyword at all when every entity has entries.
-    pull, const, mask = fixed
+    # gathers and sums, which would each convert the int16 ones again; the strided
+    # aux columns are gathered by indexing, which reads them in place where take
+    # would first copy them. A chunk first takes the yhat update of `prev`, the last
+    # column's (step, axis, factor), with the coefficients `coef` still holds. `fixed`
+    # is the mode's (const * primal - multiplier, const, `where` keyword), set for
+    # the epoch.
+    pull, const, where = fixed
     step, moved, scaled = prev or (None, None, False)
     old = state.aux[axis][:, col]
-    factor, cauchy, gamma2 = col < state.rank, state.loss != "l2", state.gamma * state.gamma
+    factor, gamma2, sums = col < state.rank, state.gamma * state.gamma, None
     if factor:  # the other two modes' values of this column, per entry
-        p, q = _OTHERS[axis]
+        p, q = (0, 3 - axis) if axis else (1, 2)
         cp, cq = state.aux[p][:, col], state.aux[q][:, col]
-    num = sums = None
-    for y, yhat, coef, idx, wc in plan:
+    if not plan:  # nothing to sum (np.bincount would return int zeros)
+        num, den = np.zeros(len(old)), np.zeros(len(old))
+    for n, (y, yhat, coef, idx, wc) in enumerate(plan):
         idx = idx.astype(np.intp, copy=False)
         own = idx[axis]
         if step is not None:
             yhat += step.take(idx[moved]) * coef if scaled else step.take(idx[moved])
-        if cauchy:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
+        if state.loss == "l2":
+            wc.fill(1.0)
+        else:  # cauchy_weight, inline: 1 / (gamma^2 + e^2)
             np.square(np.subtract(y, yhat, out=wc), out=wc)
             np.divide(1.0, np.add(wc, gamma2, out=wc), out=wc)
-        else:
-            wc.fill(1.0)
-        term = old.take(own)
+        term = old[own]
         if factor:  # a bias column's coefficient is 1: nothing to multiply
-            c = np.multiply(cp.take(idx[p]), cq.take(idx[q]), out=coef)
+            c = np.multiply(cp[idx[p]], cq[idx[q]], out=coef)
             wc *= c
             term *= c
         term = np.subtract(y, np.subtract(yhat, term, out=term), out=term)
         np.multiply(wc, term, out=term)
         if factor:
             np.multiply(wc, c, out=wc)
-        if num is None:  # from zero, bincount adds in entry order exactly as np.add.at does
+        if not n:  # from zero, bincount adds in entry order exactly as np.add.at does
             num, den = np.bincount(own, term, len(old)), np.bincount(own, wc, len(old))
             continue
         if sums is None:  # complex adds sum real and imaginary parts apart: num + den*1j
@@ -292,14 +295,12 @@ def _sweep_column(state, axis, col, fixed, plan, prev):
         zc = z[: wc.size]  # chunks after the second are no longer
         zc.real, zc.imag = term, wc
         np.add.at(sums, own, zc)
-    if num is None:  # nothing to sum (np.bincount would return int zeros)
-        num, den = np.zeros(len(old)), np.zeros(len(old))
     num += pull[:, col]
     den += const
-    np.divide(num, den, out=num, **mask)
+    np.divide(num, den, out=num, **where)
     # den is exactly 0 for an entity without entries, so its step stays 0
-    np.subtract(num, old, out=den, **mask)
-    np.copyto(old, num, **mask)
+    np.subtract(num, old, out=den, **where)
+    np.copyto(old, num, **where)
     return den, axis, factor
 
 
@@ -339,9 +340,8 @@ def train_epoch(state, model, tensor, config):
             for c in at]
     # the sweeps move only the auxiliaries, so each mode's pull is fixed
     pull = state.const[:, None] * model.params - state.mult_params
-    masks = ([{}] * 3 if state.where is True
-             else [{"where": active} for active in mode_rows(state.active, state.dims)])
-    fixed = list(zip(mode_rows(pull, state.dims), mode_rows(state.const, state.dims), masks))
+    fixed = list(zip(mode_rows(pull, state.dims), mode_rows(state.const, state.dims),
+                     state.mode_where))
     for axis, mode in enumerate(MODES):
         for col in range(rank):
             prev = _sweep_column(state, axis, col, fixed[axis], plan, prev)

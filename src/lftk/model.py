@@ -128,33 +128,24 @@ class FactorModel:
 
 
 def _predict(blocks, ii, jj, kk):
-    # The one prediction kernel, over (dim, R+1) blocks. Up to _CHUNK entries
-    # go through _predict_chunk whole, with no views made; more are cut into
-    # _CHUNK-entry views, each through the same calls.
-    out = np.empty(ii.size)
+    # The one prediction kernel, over (dim, R+1) blocks: chunk by chunk, it
+    # copies each entry's three rows (take along axis 0, far faster than 2-D
+    # fancy indexing), multiplies whole rows, and sums U0*S0*T0, then each later
+    # column's product in turn, then a, b and c: ((cp + a) + b) + c, whatever
+    # the chunk. The biases' product is unused, so its overflow is ignored.
+    out, rank = np.empty(ii.size), blocks[0].shape[1] - 1
     with np.errstate(over="ignore"):
-        if ii.size <= _CHUNK:
-            _predict_chunk(blocks, ii, jj, kk, out)
-        else:
-            for lo in range(0, ii.size, _CHUNK):
-                c = slice(lo, lo + _CHUNK)
-                _predict_chunk(blocks, ii[c], jj[c], kk[c], out[c])
+        for lo in range(0, ii.size, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            u, s = blocks[0].take(ii[c], axis=0), blocks[1].take(jj[c], axis=0)
+            t = blocks[2].take(kk[c], axis=0)
+            prod = u * s
+            prod *= t
+            terms = [prod[:, r] for r in range(rank)] + [u[:, rank], s[:, rank], t[:, rank]]
+            acc = np.add(terms[0], terms[1], out=out[c])
+            for term in terms[2:]:
+                acc += term
     return out
-
-
-def _predict_chunk(blocks, ii, jj, kk, out):
-    # Copies each entry's three rows (take along axis 0, far faster than 2-D
-    # fancy indexing), multiplies whole rows and sums U0*S0*T0, then each later
-    # column's product in turn, then a, b and c into `out`: ((cp + a) + b) + c,
-    # whatever the chunk. The biases' product is unused; the caller ignores its
-    # overflow.
-    u, s, t = blocks[0].take(ii, axis=0), blocks[1].take(jj, axis=0), blocks[2].take(kk, axis=0)
-    rank, prod = u.shape[1] - 1, u * s
-    prod *= t
-    terms = iter([prod[:, r] for r in range(rank)] + [u[:, rank], s[:, rank], t[:, rank]])
-    np.add(next(terms), next(terms), out=out)
-    for term in terms:
-        out += term
 
 
 def check_loss(loss, gamma):

@@ -806,33 +806,9 @@ def test_training_does_not_depend_on_chunk_size(seed, loss, rank):
         return model_text.getvalue(), json.dumps(report.summary()), log.getvalue()
 
     first = run(1)
-    for chunk in (3, 32768, t.n_entries):
+    # one chunk of all entries, and one entry short of it: a second, one-entry chunk
+    for chunk in (3, 32768, t.n_entries, max(t.n_entries - 1, 1)):
         assert run(chunk) == first
-
-
-@pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "one-entry-more"])
-def test_a_fit_at_the_edge_of_one_sweep_chunk_matches_three_entry_chunks(extra):
-    # a fit of exactly _SWEEP_CHUNK entries sums in one chunk, from the coordinates
-    # made intp once per epoch; one entry more adds a one-entry second chunk
-    n = lftk.admm._SWEEP_CHUNK + extra
-    rng = np.random.default_rng(n)
-    dims = (40, 30, 20)
-    ii, jj, kk = np.unravel_index(np.sort(rng.permutation(math.prod(dims))[:n]), dims)
-    y = rng.uniform(0, 5, n) * np.where(rng.random(n) < 0.05, 10.0, 1.0)
-    t = SparseTensor.from_arrays(dims, ii, jj, kk, y)
-    config = TrainConfig(rank=1, max_epochs=2, patience=2, seed=3)
-
-    def run(chunk):
-        log, model_text = io.StringIO(), io.StringIO()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lftk.admm, "_SWEEP_CHUNK", chunk)
-            mp.setattr(lftk.model, "_CHUNK", chunk)
-            model, report = train(t, t, config, log=log)
-        save_model(model, model_text)
-        return model_text.getvalue(), json.dumps(report.summary()), log.getvalue()
-
-    assert t.n_entries == n and t.idx.dtype == np.int16
-    assert run(lftk.admm._SWEEP_CHUNK) == run(3)
 
 
 def test_a_sweep_chunk_patched_between_epochs_takes_effect(monkeypatch):

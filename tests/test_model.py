@@ -107,24 +107,6 @@ def test_predict_entries_does_not_depend_on_chunk_size(monkeypatch, chunk):
     assert state.aux_prediction(t).tobytes() == aux_whole.tobytes()
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "one-entry-more"])
-def test_predictions_at_the_edge_of_one_kernel_chunk_match_three_entry_chunks(
-        monkeypatch, extra):
-    # _CHUNK entries go through the kernel whole; one more adds a one-entry chunk
-    dims, n = (30, 20, 10), lftk.model._CHUNK + extra
-    m = _random_model(5, dims, 3)
-    rng = np.random.default_rng(n)
-    ii, jj, kk = (rng.integers(0, d, n).astype(np.int16) for d in dims)
-    t = build_tensor(dims, [(0, 0, 0, 1.0)])
-    state = AdmmState.initialize(m, t, TrainConfig(rank=3))
-    state.aux_u[:] = _random_model(6, dims, 3).U
-    whole = m.predict_entries(ii, jj, kk), lftk.model._predict(state.aux, ii, jj, kk)
-    monkeypatch.setattr(lftk.model, "_CHUNK", 3)
-    chunked = m.predict_entries(ii, jj, kk), lftk.model._predict(state.aux, ii, jj, kk)
-    assert [p.tobytes() for p in whole] == [p.tobytes() for p in chunked]
-    assert whole[0].size == n and not np.array_equal(*whole)
-
-
 @pytest.mark.parametrize("rank", [1, 5, 8, 13])
 def test_prediction_sums_columns_in_order_then_biases(rank):
     # the documented order: U0*S0*T0, then + Ur*Sr*Tr for r = 1..R-1, then
