@@ -99,29 +99,30 @@ def _is_path(obj):
 
 
 @contextlib.contextmanager
-def _open_sink(sink):
-    # The one place output files are opened. A path is written to a new
-    # file beside its target, which replaces the target (keeping its mode)
-    # only once writing has finished: an error leaves the old file as it
-    # was and removes the new one. A path to something other than a regular
-    # file (a device, a pipe) is written directly. A stream is written as
-    # given and left open for its owner.
+def _open_sink(sink, binary=False):
+    # The one place output files are opened, as UTF-8 text or, with binary, as
+    # bytes. A path is written to a new file beside its target, which replaces
+    # the target (keeping its mode) only once writing has finished: an error
+    # leaves the old file as it was and removes the new one. A path to
+    # something other than a regular file (a device, a pipe) is written
+    # directly. A stream is written as given and left open for its owner.
     if not _is_path(sink):
         yield sink
         return
+    b, kw = ("b", {}) if binary else ("", {"encoding": "utf-8", "newline": "\n"})
     target = os.fsdecode(os.path.realpath(sink) if os.path.islink(sink) else sink)
     try:
         mode = os.stat(target).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+        with open(sink, "w" + b, **kw) as fh:
             yield fh
         return
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        fh = open(tmp, "x" + b, **kw)
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
     try:

@@ -22,6 +22,7 @@ from .admm import TrainConfig, train
 from .dataio import (
     RecordFormat,
     SynthSpec,
+    _save_parsed,
     load_outlier_mask,
     load_records,
     synthesize,
@@ -139,8 +140,9 @@ def cmd_split(args):
     counts = [part.n_entries for part in parts]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("train", "validation", "test"):
-        write_records(parts.pop(0), out / f"{name}.txt", fmt)
+    for name in ("train", "validation", "test"):  # each with its parsed copy
+        write_records(parts[0], out / f"{name}.txt", fmt)
+        _save_parsed(parts.pop(0), out / f"{name}.txt", fmt)
     write_split_metadata(out / "split.json", spec, n_entries)
     _write_manifest(
         out / "manifest.json",

@@ -12,11 +12,15 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _is_path, _open_sink, fmt_real, loadtxt_or_none, write_rows
+from ._util import _is_path, _open_sink, fmt_real, loadtxt_or_none, sha256_file, write_rows
 from .errors import DataFormatError
 from .evaluation import split_sizes
 from .model import FactorModel
@@ -139,6 +143,66 @@ def _parse_block(first, block, fmt):
 _PART_BLOCKS = (32 << 20) // (8 * _PARSE_BLOCK)
 
 
+def _parse_text(source, fmt):
+    # (coordinates, values) of every record of a text source, as load_records tells
+    parts = []
+    with _text_stream(source) as fh:  # a helper per block: only its arrays outlive it
+        for n, (first, block) in enumerate(_blocks(fh), 1):
+            parts.append(_parse_block(first, block, fmt))
+            if n % _PART_BLOCKS == 0:  # the last _PART_BLOCKS blocks become one part
+                parts[-_PART_BLOCKS:] = [tuple(np.concatenate(a, axis=-1)
+                                               for a in zip(*parts[-_PART_BLOCKS:]))]
+    parts.append((np.empty((3, 0), np.int16), np.empty(0)))  # a source of no record joins too
+    y = np.concatenate([y for _, y in parts])
+    idx = [idx for idx, _ in parts]
+    del parts  # the parts' values go here, their coordinates once joined
+    return np.concatenate(idx, axis=1), y
+
+
+# The parsed copy of a record file, "<file>.npz": the records as _parse_text gives them
+# (a (3, n) signed integer block less the index base, and float64 values) beside a meta
+# row of this tag, the format's delimiter and base, and the sha256 of the text's bytes.
+_PARSED_TAG = "lftk parsed records 1"
+_PARSED_IDX = tuple(map(np.dtype, (np.int16, np.int32, np.int64)))
+# what np.load raises on a missing, truncated, damaged or foreign copy, or an object array
+_COPY_ERRORS = (OSError, EOFError, KeyError, ValueError, RuntimeError, MemoryError,
+                zipfile.BadZipFile, zlib.error)
+
+
+def _save_parsed(tensor, path, fmt):
+    # Write the parsed copy of the record file that tensor has just been written to
+    # at path in fmt; only a regular file gets one, as only one is read with it.
+    if stat.S_ISREG(os.stat(path).st_mode):
+        meta = np.array([_PARSED_TAG, fmt.delimiter, str(fmt.index_base), sha256_file(path)])
+        with _open_sink(os.fsdecode(path) + ".npz", binary=True) as fh:
+            np.savez(fh, meta=meta, idx=tensor.idx, y=tensor.y)
+
+
+def _load_parsed(source, fmt):
+    # (coordinates, values) from the parsed copy of a regular file source, or None.
+    # The meta row is read first, the text hashed only if tag and format match, and
+    # the arrays loaded only if the hash does too. A copy that is missing, stale,
+    # damaged or foreign, or holds arrays of another kind or shape, gives None.
+    if not _is_path(source):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(source).st_mode):
+            return None
+        with open(os.fsdecode(source) + ".npz", "rb") as fh:
+            z = np.load(fh, allow_pickle=False)  # an object array raises, never unpickled
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                return None
+            meta, head = z["meta"], [_PARSED_TAG, fmt.delimiter, str(fmt.index_base)]
+            if meta.shape != (4,) or meta.tolist()[:3] != head or meta[3] != sha256_file(source):
+                return None
+            idx, y = z["idx"], z["y"]
+    except _COPY_ERRORS:
+        return None
+    if (idx.dtype in _PARSED_IDX and idx.ndim == 2 and len(idx) == 3
+            and idx.flags.c_contiguous and y.dtype == np.float64 and y.shape == idx.shape[1:]):
+        return idx, y
+
+
 def load_records(source, fmt=RecordFormat(), dims=None):
     """Parse a record stream into a :class:`SparseTensor`.
 
@@ -158,19 +222,13 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     in the narrowest type that holds them. Every 1,024 blocks (4M lines, up
     to 32 MiB of values) are joined into one part as they arrive, and the parts
     and the last blocks once at the end, values first, into the widest type.
+
+    A regular file that ``lftk split`` wrote is not parsed while its bytes
+    and ``fmt`` are those of the parsed copy split wrote beside it
+    (``<path>.npz``): the records come from that copy, and the tensor is
+    built and checked from them as from a parse. Any other copy is ignored.
     """
-    parts = []
-    with _text_stream(source) as fh:  # a helper per block: only its arrays outlive it
-        for n, (first, block) in enumerate(_blocks(fh), 1):
-            parts.append(_parse_block(first, block, fmt))
-            if n % _PART_BLOCKS == 0:  # the last _PART_BLOCKS blocks become one part
-                parts[-_PART_BLOCKS:] = [tuple(np.concatenate(a, axis=-1)
-                                               for a in zip(*parts[-_PART_BLOCKS:]))]
-    parts.append((np.empty((3, 0), np.int16), np.empty(0)))  # a source of no record joins too
-    y = np.concatenate([y for _, y in parts])
-    idx = [idx for idx, _ in parts]
-    del parts  # the parts' values go here, their coordinates once joined
-    idx = np.concatenate(idx, axis=1)
+    idx, y = _load_parsed(source, fmt) or _parse_text(source, fmt)
     if dims is None:
         if not y.size:
             raise DataFormatError("no records found and no dims given")
@@ -346,12 +404,10 @@ def load_outlier_mask(source, dims):
             if arr is None or arr.shape[1:] != (3,):  # the line parser, this block alone
                 rows = []
                 for lineno, fields in _record_lines(block, " ", 3, first):
-                    try:
-                        row = [int(f) for f in fields]
+                    try:  # clamped into int64: a value outside it and its clamp miss every dim
+                        rows.append([min(max(int(f), -1), 2**63 - 1) for f in fields])
                     except ValueError:
                         raise DataFormatError(f"line {lineno}: non-integer field") from None
-                    if all(0 <= v < d for v, d in zip(row, dims)):
-                        rows.append(row)
                 arr = np.array(rows, np.int64).reshape(-1, 3)
             parts.append(arr[((arr >= 0) & (arr < np.array(dims))).all(axis=1)])
     return np.concatenate(parts)

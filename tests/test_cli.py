@@ -7,11 +7,13 @@ import stat
 import tracemalloc
 import warnings
 from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lftk.cli
+import lftk.dataio
 from lftk import (FactorModel, RecordFormat, SynthSpec, TrainConfig, build_tensor, load_records,
                   mae)
 from lftk._util import fmt_real, write_rows
@@ -413,17 +415,46 @@ def test_readme_record_files_match_their_pinned_digests(tmp_path, capsys, fmt, b
             for fields in map(str.split, (data / "observed.txt").read_text().splitlines())))
     assert run(["split", "--input", str(records), "--ratios", "16:4:80", "--seed", "1",
                 "--out", str(splits), *flags], capsys)[0] == 0
+    copies = [splits / f"{name}.txt.npz" for name in ("train", "validation", "test")]
+    assert sorted(tmp_path.rglob("*.npz")) == sorted(copies)  # synth writes none
     model = tmp_path / "cauchy.model"
-    assert run(["train", "--train", str(splits / "train.txt"),
-                "--val", str(splits / "validation.txt"), "--dims", "30x30x16",
-                "--loss", "cauchy", "--rank", "4", "--gamma", "1", "--lambda", "0.1",
-                "--eta", "1", "--seed", "1", "--max-epochs", "20", "--model-out", str(model),
-                *flags], capsys)[0] == 0
-    assert run(["predict", "--model", str(model), "--entries", str(splits / "test.txt"),
-                "--out", str(tmp_path / "pred.txt"), *flags], capsys)[0] == 0
+
+    def fit_eval_predict():
+        # every byte train, eval and predict write (manifests' timestamps aside) and
+        # print, and the record files they parse
+        parsed = []
+
+        def parse_text(source, fmt):
+            parsed.append(os.path.basename(source))
+            return parse(source, fmt)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lftk.dataio, "_parse_text", parse_text)
+            outputs = [run(["train", "--train", str(splits / "train.txt"),
+                            "--val", str(splits / "validation.txt"), "--dims", "30x30x16",
+                            "--loss", "cauchy", "--rank", "4", "--gamma", "1", "--lambda",
+                            "0.1", "--eta", "1", "--seed", "1", "--max-epochs", "20",
+                            "--model-out", str(model), *flags], capsys),
+                       run(["eval", "--model", str(model), "--test", str(splits / "test.txt"),
+                            "--mask", str(data / "outliers.txt"), *flags], capsys),
+                       run(["predict", "--model", str(model),
+                            "--entries", str(splits / "test.txt"),
+                            "--out", str(tmp_path / "pred.txt"), *flags], capsys)]
+        for suffix in ("", ".log", ".report.json"):
+            outputs.append(Path(str(model) + suffix).read_bytes())
+        return outputs + [(tmp_path / "pred.txt").read_bytes()], parsed
+
+    parse = lftk.dataio._parse_text
+    with_copies, parsed = fit_eval_predict()
+    assert parsed == []
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in _README_RECORD_DIGESTS[fmt, base]}
     assert digests == _README_RECORD_DIGESTS[fmt, base]
+    for copy in copies:
+        copy.unlink()
+    without, parsed = fit_eval_predict()
+    assert parsed == ["train.txt", "validation.txt", "test.txt", "test.txt"]
+    assert without == with_copies
 
 
 def test_malformed_input_exit_code_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import io
 import os
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -25,7 +27,7 @@ from lftk import (
     write_predictions,
     write_records,
 )
-from lftk._util import _ROW_BLOCK, fmt_real, write_rows
+from lftk._util import _ROW_BLOCK, fmt_real, sha256_file, write_rows
 from lftk.dataio import (
     load_outlier_mask,
     write_outlier_mask,
@@ -83,9 +85,11 @@ def test_load_empty_without_dims_rejected():
     seed=st.integers(0, 1000),
     delimiter=st.sampled_from(["whitespace", "comma"]),
     base=st.sampled_from([0, 1]),
+    width=st.sampled_from([np.int16, np.int32, np.int64]),
+    dims_given=st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
-def test_write_load_roundtrip_identity(seed, delimiter, base):
+@settings(max_examples=60, deadline=None)
+def test_write_load_roundtrip_identity(seed, delimiter, base, width, dims_given):
     obs, _, _ = synthesize(
         SynthSpec(dims=(5, 4, 3), rank=2, density=0.5, noise_std=0.1, seed=seed)
     )
@@ -94,6 +98,119 @@ def test_write_load_roundtrip_identity(seed, delimiter, base):
     write_records(obs, buf, fmt)
     back = load_records(io.StringIO(buf.getvalue()), fmt, dims=obs.dims)
     assert back.entries() == obs.entries()
+    # with the parsed copy that lftk split writes beside a part, the part's path loads
+    # the tensor its text parses to; users spread out so coordinates need the width
+    top = {np.int16: 5, np.int32: 2**15 + 1, np.int64: 2**31 + 1}[width]
+    part = SparseTensor.from_arrays((top, 4, 3), obs.i.astype(np.int64) * (top - 1) // 4,
+                                    obs.j, obs.k, obs.y)
+    assert part.idx.dtype == width
+    dims = part.dims if dims_given else None
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "train.txt")
+        write_records(part, path, fmt)
+        dataio._save_parsed(part, path, fmt)
+        with mock.patch.object(dataio, "_parse_text", side_effect=AssertionError):
+            cached = _outcome(load_records, path, fmt, dims)
+        os.remove(path + ".npz")
+        assert cached == _outcome(load_records, path, fmt, dims)
+
+
+def _part_with_copy(folder, fmt=RecordFormat()):
+    # a part as lftk split leaves it: its record file, and its parsed copy beside it
+    part, _, _ = synthesize(SynthSpec(dims=(5, 4, 3), rank=2, density=0.5, seed=2))
+    path = folder / "train.txt"
+    write_records(part, path, fmt)
+    dataio._save_parsed(part, path, fmt)
+    return part, path
+
+
+def _write_copy(path, idx, y, head=(dataio._PARSED_TAG, "whitespace", "0"), digest=None):
+    # a parsed copy beside path of these arrays, made by hand
+    meta = np.array([*head, digest or sha256_file(path)])
+    np.savez(str(path) + ".npz", meta=meta, idx=idx, y=y)
+
+
+class _Trap:
+    # an object whose unpickling removes the file at path
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.remove, (self.path,)
+
+
+@pytest.mark.parametrize("case", [
+    "edited", "edited to a bad line", "read as comma", "read in base 1", "read in base 0",
+    "truncated", "garbage", "npy", "object array", "other tag", "two rows", "uint16",
+    "fortran order", "float32 values", "big-endian values", "values of another length"])
+def test_a_copy_that_is_not_the_texts_parse_is_ignored(tmp_path, case):
+    # the copy is passed over and the file parsed: the outcome is that of the file with
+    # no copy beside it. A copy made by hand holds values the text does not, so taking
+    # it would show.
+    written = RecordFormat(index_base=1) if case == "read in base 0" else RecordFormat()
+    part, path = _part_with_copy(tmp_path, written)
+    copy, fmt = tmp_path / "train.txt.npz", RecordFormat()
+    lies = part.y + 1
+    if case.startswith("edited"):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(" ", 1)[0] + (" 7.5\n" if case == "edited" else " oops\n")
+        path.write_text("".join(lines))
+    elif case.startswith("read"):
+        fmt = {"read as comma": RecordFormat("comma"),
+               "read in base 1": RecordFormat(index_base=1)}.get(case, fmt)
+    elif case == "truncated":
+        copy.write_bytes(copy.read_bytes()[:copy.stat().st_size // 2])
+    elif case == "garbage":
+        copy.write_bytes(bytes(range(256)) * 8)
+    elif case == "npy":
+        with copy.open("wb") as fh:
+            np.save(fh, part.idx)
+    elif case == "object array":
+        trap = tmp_path / "trap"
+        trap.touch()
+        _write_copy(path, np.array([_Trap(trap)]), lies)
+    elif case == "other tag":
+        _write_copy(path, part.idx, lies, head=("lftk parsed records 0", "whitespace", "0"))
+    else:
+        idx, y = {"two rows": (part.idx[:2], lies),
+                  "uint16": (part.idx.astype(np.uint16), lies),
+                  "fortran order": (np.asfortranarray(part.idx), lies),
+                  "float32 values": (part.idx, lies.astype(np.float32)),
+                  "big-endian values": (part.idx, lies.astype(">f8")),
+                  "values of another length": (part.idx, lies[1:])}[case]
+        _write_copy(path, idx, y)
+    with mock.patch.object(dataio, "_parse_text", wraps=dataio._parse_text) as parse:
+        got = _outcome(load_records, path, fmt)
+    assert parse.call_count == 1
+    if case == "object array":
+        assert (tmp_path / "trap").exists()  # never unpickled
+    copy.unlink()
+    assert got == _outcome(load_records, path, fmt)
+    if case == "edited to a bad line":
+        assert got == ("error", "line 2: non-numeric field")
+
+
+def test_a_copy_is_read_only_beside_a_path_to_a_regular_file(tmp_path):
+    # a copy of the text's hash and format that holds other values is taken for a path
+    # to the file, and for no stream or other kind of path, such as a pipe's
+    part, path = _part_with_copy(tmp_path)
+    _write_copy(path, part.idx, part.y + 1)
+    assert load_records(path).y.tolist() == (part.y + 1).tolist()
+    text = path.read_text()
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    pipe_path = tmp_path / "pipe.txt"  # a path that names the pipe's read end
+    pipe_path.symlink_to(f"/dev/fd/{r}")
+    _write_copy(pipe_path, part.idx, part.y + 1, digest=hashlib.sha256(text.encode()).hexdigest())
+    try:
+        from_pipe = load_records(pipe_path)
+    finally:
+        os.close(r)
+    with path.open() as fh:
+        from_stream = load_records(fh)
+    for t in (from_stream, load_records(io.BytesIO(text.encode())), from_pipe):
+        assert t.entries() == part.entries()
 
 
 def test_synthesize_noiseless_full_observation_is_exact():
@@ -193,6 +310,13 @@ def test_outlier_mask_roundtrip(tmp_path):
     write_outlier_mask(obs, mask, path)
     flagged = load_outlier_mask(path, obs.dims)
     expected = [[int(obs.i[p]), int(obs.j[p]), int(obs.k[p])] for p in np.nonzero(mask)[0]]
+    assert flagged.dtype == np.int64
+    assert flagged.tolist() == expected
+    # a "#" line sends its block to the line parser, which keeps the same triples: none
+    # outside the dims, one past int64 included
+    with path.open("a") as fh:
+        fh.write("# appended\n6 0 0\n0 0 -1\n0 0 99999999999999999999\n")
+    flagged = load_outlier_mask(path, obs.dims)
     assert flagged.dtype == np.int64
     assert flagged.tolist() == expected
 
