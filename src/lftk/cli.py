@@ -77,12 +77,14 @@ def _params(obj):  # manifest parameters: every field but the seed, under its ke
     return {_KEYS.get(k, k): v for k, v in asdict(obj).items() if k != "seed"}
 
 
-def _write_manifest(path, command, params, input_paths, seed):
+def _write_manifest(path, command, params, input_paths, seed, digests=None):
+    # digests: the sha256 of inputs that load_records has already hashed, by str(path)
+    digests = digests or {}
     manifest = {
         "command": command,
         "toolkit_version": __version__,
         "parameters": params,
-        "inputs": {str(p): sha256_file(p) for p in input_paths},
+        "inputs": {str(p): digests.get(str(p)) or sha256_file(p) for p in input_paths},
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -159,8 +161,9 @@ def cmd_train(args):
     config = _from_args(TrainConfig, args)
     fmt = _from_args(RecordFormat, args)
     dims = check_dims(parse_dims(args.dims)) if args.dims else None
-    tensor_train = load_records(args.train, fmt, dims)
-    tensor_val = load_records(args.val, fmt, dims)
+    digests = {}
+    tensor_train = load_records(args.train, fmt, dims, _digests=digests)
+    tensor_val = load_records(args.val, fmt, dims, _digests=digests)
     for name, t in (("training", tensor_train), ("validation", tensor_val)):
         if not t.n_entries:  # empty with --dims; without, load_records has refused it
             raise DataFormatError(f"no records found in the {name} file")
@@ -189,6 +192,7 @@ def cmd_train(args):
         _params(config) | {"dims": list(dims)} | _params(fmt),
         [args.train, args.val],
         config.seed,
+        digests,
     )
     print(f"best epoch {report.best_epoch} val_mae {fmt_real(report.best_val_mae)}")
     if report.diverged:
@@ -217,7 +221,8 @@ def cmd_eval(args):
 def cmd_predict(args):
     model = load_model(args.model)
     fmt = _from_args(RecordFormat, args)
-    tensor = load_records(args.entries, fmt, model.dims)
+    digests = {}
+    tensor = load_records(args.entries, fmt, model.dims, _digests=digests)
     write_predictions(model, tensor, args.out, fmt)
     _write_manifest(
         str(args.out) + ".manifest.json",
@@ -225,6 +230,7 @@ def cmd_predict(args):
         _params(fmt),
         [args.model, args.entries],
         None,
+        digests,
     )
     print(f"wrote {args.out} ({tensor.n_entries} predictions)")
     return EXIT_OK

@@ -178,11 +178,12 @@ def _save_parsed(tensor, path, fmt):
             np.savez(fh, meta=meta, idx=tensor.idx, y=tensor.y)
 
 
-def _load_parsed(source, fmt):
+def _load_parsed(source, fmt, digests):
     # (coordinates, values) from the parsed copy of a regular file source, or None.
-    # The meta row is read first, the text hashed only if tag and format match, and
-    # the arrays loaded only if the hash does too. A copy that is missing, stale,
-    # damaged or foreign, or holds arrays of another kind or shape, gives None.
+    # The meta row is read first, the text hashed only if tag and format match (the
+    # digest kept in digests under str(source)), and the arrays loaded only if the
+    # hash matches too. A copy that is missing, stale, damaged or foreign, or holds
+    # arrays of another kind or shape, gives None.
     if not _is_path(source):
         return None
     try:
@@ -193,7 +194,10 @@ def _load_parsed(source, fmt):
             if not isinstance(z, np.lib.npyio.NpzFile):
                 return None
             meta, head = z["meta"], [_PARSED_TAG, fmt.delimiter, str(fmt.index_base)]
-            if meta.shape != (4,) or meta.tolist()[:3] != head or meta[3] != sha256_file(source):
+            if meta.shape != (4,) or meta.tolist()[:3] != head:
+                return None
+            digests[str(source)] = sha256_file(source)
+            if meta[3] != digests[str(source)]:
                 return None
             idx, y = z["idx"], z["y"]
     except _COPY_ERRORS:
@@ -203,7 +207,7 @@ def _load_parsed(source, fmt):
         return idx, y
 
 
-def load_records(source, fmt=RecordFormat(), dims=None):
+def load_records(source, fmt=RecordFormat(), dims=None, *, _digests=None):
     """Parse a record stream into a :class:`SparseTensor`.
 
     ``source`` may be a file path or an open text/byte stream. When
@@ -228,7 +232,10 @@ def load_records(source, fmt=RecordFormat(), dims=None):
     (``<path>.npz``): the records come from that copy, and the tensor is
     built and checked from them as from a parse. Any other copy is ignored.
     """
-    idx, y = _load_parsed(source, fmt) or _parse_text(source, fmt)
+    # _digests, a dict, receives the text's sha256 where the copy's check hashed it,
+    # so a caller that records the input's digest need not read the file again
+    parsed = _load_parsed(source, fmt, {} if _digests is None else _digests)
+    idx, y = parsed or _parse_text(source, fmt)
     if dims is None:
         if not y.size:
             raise DataFormatError("no records found and no dims given")

@@ -16,7 +16,7 @@ import lftk.cli
 import lftk.dataio
 from lftk import (FactorModel, RecordFormat, SynthSpec, TrainConfig, build_tensor, load_records,
                   mae)
-from lftk._util import fmt_real, write_rows
+from lftk._util import fmt_real, sha256_file, write_rows
 from lftk.cli import _write_json, build_parser, main
 
 
@@ -455,6 +455,40 @@ def test_readme_record_files_match_their_pinned_digests(tmp_path, capsys, fmt, b
     without, parsed = fit_eval_predict()
     assert parsed == ["train.txt", "validation.txt", "test.txt", "test.txt"]
     assert without == with_copies
+
+
+def test_each_input_is_hashed_once_per_command(tmp_path, capsys, monkeypatch):
+    # split hashes its input for the manifest and each part for its parsed copy;
+    # train, eval and predict hash a part once, to check its copy, and the
+    # manifests reuse that digest
+    hashed = []
+
+    def sha256_counted(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    for module in (lftk.cli, lftk.dataio):
+        monkeypatch.setattr(module, "sha256_file", sha256_counted)
+    _, splits = make_dataset(tmp_path, capsys)
+    assert sorted(hashed) == ["observed.txt", "test.txt", "train.txt", "validation.txt"]
+    model, pred = tmp_path / "m.model", tmp_path / "pred.txt"
+    commands = {
+        "train": ["train", "--train", str(splits / "train.txt"),
+                  "--val", str(splits / "validation.txt"), "--rank", "2", "--max-epochs", "5",
+                  "--model-out", str(model)],
+        "eval": ["eval", "--model", str(model), "--test", str(splits / "test.txt")],
+        "predict": ["predict", "--model", str(model), "--entries", str(splits / "test.txt"),
+                    "--out", str(pred)],
+    }
+    expected = {"train": ["train.txt", "validation.txt"], "eval": ["test.txt"],
+                "predict": ["test.txt", "m.model"]}
+    for command, argv in commands.items():
+        hashed.clear()
+        assert run(argv, capsys)[0] == 0
+        assert hashed == expected[command], command
+    for manifest in (Path(str(model) + ".manifest.json"), Path(str(pred) + ".manifest.json")):
+        inputs = json.loads(manifest.read_text())["inputs"]
+        assert inputs == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
 
 
 def test_malformed_input_exit_code_2(tmp_path, capsys):

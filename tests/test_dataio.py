@@ -1,19 +1,23 @@
 import gc
 import hashlib
 import io
+import math
 import os
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lftk._util
 from lftk import (
     DataFormatError,
     dataio,
@@ -754,6 +758,100 @@ def test_fmt_real_takes_repr_only_where_it_is_positional(x):
     # repr is fmt_real's fast path at 0 and for 1e-4 <= |x| < 1e16, an integral
     # value dropping its ".0"; numpy formats the rest (exponent forms, inf, nan)
     assert fmt_real(x) == np.format_float_positional(float(x), unique=True, trim="-")
+
+
+def _positional_bits(bits):
+    # 1e-4 <= |x| < 1e16 from random bits: sign and mantissa as given, the binary
+    # exponent folded into 2**-13 .. 2**52, the binades wholly inside that range
+    bits = np.asarray(bits, dtype=np.uint64)
+    exponent = np.uint64(1010) + (bits >> np.uint64(52) & np.uint64(0x7FF)) % np.uint64(66)
+    keep = bits & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    return (keep | exponent << np.uint64(52)).view(np.float64)
+
+
+@st.composite
+def _ties(draw):
+    # x = m / 2**s, m odd, with floor(log10 x) = 16 - p; x * 10**p is an odd
+    # multiple of 5 for s = p, a 16-digit tie, and ends in .5 for s = p + 1, a
+    # 17-digit one
+    p = draw(st.integers(1, 20))
+    s = p + draw(st.integers(0, 1))
+    lo, hi = Fraction(10) ** (16 - p) * 2**s, Fraction(10) ** (17 - p) * 2**s
+    m = draw(st.integers(math.ceil(lo), min(math.ceil(hi) - 1, 2**53 - 1))) | 1
+    assume(m < hi)
+    scaled = Fraction(m, 2**s) * 10**p
+    assert scaled.denominator == 2 or scaled.denominator == 1 and scaled.numerator % 10 == 5
+    return m / 2**s
+
+
+_KERNEL_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(_positional_bits(bits))),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.integers(-20, 60).flatmap(lambda k: st.sampled_from(
+        [2.0**k, np.nextafter(2.0**k, 0.0), np.nextafter(2.0**k, np.inf)])),
+    st.integers(-4, 16).flatmap(lambda k: st.sampled_from(
+        [float(f"1e{k}"), np.nextafter(float(f"1e{k}"), 0.0), np.nextafter(float(f"1e{k}"), np.inf)])),
+    st.integers(-8, 8).map(lambda d: 2.0**53 + 2 * d),
+    st.sampled_from([9999999999999998.0, np.nextafter(1e16, 0.0), 2.0**53 - 1, 0.0]),
+    _ties(),
+    st.integers(0, 2**53).map(float),
+    st.tuples(st.integers(0, 10**9), st.integers(0, 9)).map(lambda t: t[0] / 10 ** t[1]),
+)
+
+
+@given(values=st.lists(st.tuples(_KERNEL_VALUES, st.booleans()), min_size=1, max_size=40))
+@example(values=[(1e15 + 0.25, False), (123456789012345.125, True), (5e14 + 0.25, False),
+                 (123456789012345.25, True), (0.0, True), (9999999999999998.0, False)])
+@settings(max_examples=300, deadline=None)
+def test_float_cells_match_fmt_real(values):
+    # write_rows' float kernel against fmt_real, each value drawn with either sign
+    values = np.array([-v if negative else v for v, negative in values])
+    buf = io.StringIO()
+    write_rows(buf, [values])
+    assert buf.getvalue().splitlines() == [fmt_real(v) for v in values]
+
+
+def test_float_cells_match_repr_on_random_bits():
+    values = _positional_bits(np.random.default_rng(11).integers(0, 2**64, 100_000, dtype=np.uint64))
+    buf = io.StringIO()
+    write_rows(buf, [values])
+    assert buf.getvalue().splitlines() == [repr(v).removesuffix(".0") for v in values.tolist()]
+
+
+def test_positional_cells_never_reach_fmt_real(monkeypatch):
+    # the kernel must write these itself: a fallback to fmt_real per value would
+    # pass every equivalence test and lose the speed
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        _positional_bits(rng.integers(0, 2**64, 6000, dtype=np.uint64)),
+        np.floor(rng.uniform(1, 2.0**53, 1000)),  # integral
+        np.round(rng.uniform(0, 1000, 1000), 3),  # short decimals
+        [1e15 + 0.25, -5e14 - 0.25, 123456789012345.125],  # ties at 17 and 16 digits
+        2.0 ** np.arange(-13, 54),
+        [0.0, -0.0, 0.1, -0.3, 123.456, 9999999999999998.0],
+    ])
+    want = [fmt_real(v) for v in values]
+    calls = []
+    monkeypatch.setattr(lftk._util, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+    buf = io.StringIO()
+    write_rows(buf, [values, values[::-1]])
+    assert calls == []
+    assert buf.getvalue().splitlines() == [f"{a} {b}" for a, b in zip(want, want[::-1])]
+    write_rows(io.StringIO(), [np.array([0.5, np.inf, 9e-5, 1e16])])  # past the kernel
+    assert calls == [np.inf, 9e-5, 1e16]
+
+
+@pytest.mark.slow
+def test_float_cells_match_repr_on_10m_random_positional_doubles():
+    rng = np.random.default_rng(2024)
+    t0 = time.perf_counter()
+    for _ in range(10):
+        values = _positional_bits(rng.integers(0, 2**64, 1_000_000, dtype=np.uint64))
+        buf = io.StringIO()
+        write_rows(buf, [values])
+        assert buf.getvalue().splitlines() == [repr(v).removesuffix(".0") for v in values.tolist()]
+    print(f"[float-cells] 10M random positional doubles match repr in "
+          f"{time.perf_counter() - t0:.1f}s")
 
 
 def test_load_records_peak_memory_per_record(tmp_path, header="", j0=0, dtype=np.int16,
